@@ -258,7 +258,7 @@ func (c *cforest) predictRows(rows [][]uint8, out []float64, base float64) {
 // and the per-row slice-header traffic of [][]uint8 — disappears from
 // the hot path. This is the serve front door's steady-state entry: the
 // admission codec quantizes straight into a job's code slab and the
-// batcher hands the slab here untouched.
+// batcher hands each model's group of rows here as one slab.
 func (c *cforest) predictDense(cb []uint8, out []float64, base float64) {
 	nf := c.nf
 	var acc [codeBlock]float64

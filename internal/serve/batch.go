@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -179,10 +180,8 @@ func (s *Server) batchShed(w http.ResponseWriter, reason string) {
 // lineEnd returns the index of the newline terminating the line starting
 // at p (len(b) for the final unterminated line).
 func lineEnd(b []byte, p int) int {
-	for q := p; q < len(b); q++ {
-		if b[q] == '\n' {
-			return q
-		}
+	if q := bytes.IndexByte(b[p:], '\n'); q >= 0 {
+		return p + q
 	}
 	return len(b)
 }

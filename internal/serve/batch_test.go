@@ -233,7 +233,8 @@ func TestBatchShedsWholeBatch(t *testing.T) {
 }
 
 // TestBatchMetrics: admitted batch sizes land in the serve_batch_rows
-// histogram and /metrics exposes both batch families.
+// histogram and /metrics exposes both batch families and the rows each
+// inference path served.
 func TestBatchMetrics(t *testing.T) {
 	s, _ := newTestServer(t, 1, nil)
 	s.Start()
@@ -267,7 +268,8 @@ func TestBatchMetrics(t *testing.T) {
 	buf.ReadFrom(resp.Body)
 	resp.Body.Close()
 	text := buf.String()
-	for _, want := range []string{"serve_batch_rows_bucket", "serve_batch_requests 3"} {
+	for _, want := range []string{"serve_batch_rows_bucket", "serve_batch_requests 3",
+		`serve_rows{path="code"} 11`, `serve_rows{path="float"} 0`} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
@@ -308,7 +310,9 @@ func TestPredictBatchSyncValidation(t *testing.T) {
 
 // TestPredictBatchSyncZeroAlloc: the steady-state batch path allocates
 // nothing — the job, its slabs, and the completion slot all come out of
-// pools, and the dense code-space walk runs in place.
+// pools, and grouping a batch by model reuses the batcher's scratch —
+// for a single-edge batch and for one mixing the edge with the global
+// fallback.
 func TestPredictBatchSyncZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on the measured path")
@@ -318,29 +322,34 @@ func TestPredictBatchSyncZeroAlloc(t *testing.T) {
 	defer s.Drain()
 	ctx := context.Background()
 
-	const n = 64
-	rows := make([]BatchRow, n)
-	for i := range rows {
-		x := make([]float64, 3)
-		x[0], x[1], x[2] = float64(i%7)/7, float64(i%5)/5, float64(i%3)/3
-		rows[i] = BatchRow{Src: "S1", Dst: "D1", X: x}
-	}
-	out := make([]PredictResponse, n)
-	// Warm the pools and the batcher's scratch.
-	for i := 0; i < 8; i++ {
-		if err := s.PredictBatchSync(ctx, rows, out); err != nil {
-			t.Fatal(err)
+	for _, mixed := range []bool{false, true} {
+		const n = 64
+		rows := make([]BatchRow, n)
+		for i := range rows {
+			x := make([]float64, 3)
+			x[0], x[1], x[2] = float64(i%7)/7, float64(i%5)/5, float64(i%3)/3
+			rows[i] = BatchRow{Src: "S1", Dst: "D1", X: x}
+			if mixed && i%3 == 0 {
+				rows[i].Src = "X"
+			}
 		}
-	}
-	avg := testing.AllocsPerRun(50, func() {
-		if err := s.PredictBatchSync(ctx, rows, out); err != nil {
-			t.Fatal(err)
+		out := make([]PredictResponse, n)
+		// Warm the pools and the batcher's scratch.
+		for i := 0; i < 8; i++ {
+			if err := s.PredictBatchSync(ctx, rows, out); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
-	// The caller-visible path must be allocation-free. Background work
-	// (timer wheel, metrics map growth) can contribute sub-1 noise on a
-	// busy box; anything >=1 alloc/op is a real per-call allocation.
-	if avg >= 1 {
-		t.Errorf("PredictBatchSync allocates %.2f allocs/op, want 0", avg)
+		avg := testing.AllocsPerRun(50, func() {
+			if err := s.PredictBatchSync(ctx, rows, out); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// The caller-visible path must be allocation-free. Background work
+		// (timer wheel, metrics map growth) can contribute sub-1 noise on a
+		// busy box; anything >=1 alloc/op is a real per-call allocation.
+		if avg >= 1 {
+			t.Errorf("mixed=%v: PredictBatchSync allocates %.2f allocs/op, want 0", mixed, avg)
+		}
 	}
 }

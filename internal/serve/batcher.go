@@ -14,8 +14,8 @@ import (
 // /predict/batch, or PredictBatchSync. Jobs are sync.Pool-recycled
 // completion slots: the waiter checks one out, fills the row slabs, and
 // hands it to a per-batcher admission shard; the batcher that drains the
-// shard coalesces jobs up to BatchMax rows, runs ONE inference over the
-// gathered rows, publishes every result, and wakes each job with a
+// shard coalesces jobs up to BatchMax rows, runs ONE inference per
+// serving model over the gathered rows, publishes every result, and wakes each job with a
 // single channel send — one wake per job per drained batch, never one
 // per row. The waiter alone recycles the job (an abandoned job — client
 // deadline, drain hard-stop — is left to the GC, because the batcher may
@@ -25,14 +25,16 @@ import (
 type job struct {
 	n  int       // rows
 	x  []float64 // n*nf row-major slab, vectorized against areg's layout
-	cx []uint8   // n*nf bin codes when qm != nil
+	cx []uint8   // n*nf bin codes; row r is valid only when coded[r]
 
-	// qm is the code-space model cx was quantized against — non-nil only
-	// when every row resolved to that one model at admission (the
-	// all-or-nothing code-admission rule). A reload between admission and
-	// batching invalidates it exactly like it invalidates x (see
-	// refreshJob).
-	qm *gbt.Model
+	// coded[r] reports that cx row r holds row r's codes under
+	// ents[r].m — the per-row admission invariant quantizeJob
+	// establishes (and refreshJob restores after a reload). It is false
+	// for rows whose model has no code forest, under DisableCodeSpace,
+	// and for a run of rows the quantizer refused (a non-finite
+	// feature); those rows take the float walk. It is uniform across
+	// each run of consecutive rows on one model.
+	coded []bool
 
 	srcs, dsts []string
 	areg       *Registry // admission snapshot (layout + generation of x)
@@ -68,11 +70,11 @@ func newJob(n, nf int) *job {
 	j.n = n
 	j.x = grow(j.x, n*nf)
 	j.cx = grow(j.cx, n*nf)
+	j.coded = grow(j.coded, n)
 	j.out = grow(j.out, n)
 	j.srcs = grow(j.srcs, n)
 	j.dsts = grow(j.dsts, n)
 	j.ents = grow(j.ents, n)
-	j.qm = nil
 	j.shed, j.err, j.notified = false, nil, false
 	return j
 }
@@ -81,7 +83,7 @@ func newJob(n, nf int) *job {
 // enqueued). Registry-retaining fields are cleared so a pooled job does
 // not pin an old generation's models in memory.
 func (j *job) free() {
-	j.areg, j.qm = nil, nil
+	j.areg = nil
 	for i := range j.ents {
 		j.ents[i] = nil
 	}
@@ -95,17 +97,15 @@ func (j *job) notify() {
 }
 
 // quantizeJob resolves each row's serving model against the admission
-// snapshot and, when every row lands on the same code-space model,
-// quantizes the whole slab column-major in one pass. Mixed-model jobs
-// (and models without a code forest) ride the float path — bit-identical
-// by construction, so this is purely a speed decision.
+// snapshot and quantizes every row whose model has a code forest against
+// that model. Consecutive rows on one model form a run quantized by one
+// QuantizeSlab call (column-major, so a feature's cuts stay hot), which
+// makes a single-edge job one slab call however long it is.
 func (s *Server) quantizeJob(j *job, snap *Registry) {
 	j.areg = snap
-	single := true
-	var first *edgeEntry
-	// Memoize the previous row's (src, dst): batch rows overwhelmingly
-	// share an edge, and with interned labels the equality checks are
-	// pointer comparisons — two map hits become two pointer tests.
+	// Memoize the previous row's (src, dst): batch rows often share an
+	// edge, and with interned labels the equality checks are pointer
+	// comparisons — two map hits become two pointer tests.
 	var psrc, pdst string
 	var pent *edgeEntry
 	for r := 0; r < j.n; r++ {
@@ -115,30 +115,65 @@ func (s *Server) quantizeJob(j *job, snap *Registry) {
 			psrc, pdst, pent = j.srcs[r], j.dsts[r], e
 		}
 		j.ents[r] = e
-		if first == nil {
-			first = e
-		} else if e.m != first.m {
-			single = false
-		}
 	}
-	j.qm = nil
-	if single && !s.cfg.DisableCodeSpace && first.m.CodeSpace() {
-		k := j.n * len(snap.Features)
-		if first.m.QuantizeSlab(j.x[:k], j.cx[:k]) == nil {
-			j.qm = first.m
+	nf := len(snap.Features)
+	for lo := 0; lo < j.n; {
+		m := j.ents[lo].m
+		hi := lo + 1
+		for hi < j.n && j.ents[hi].m == m {
+			hi++
 		}
+		code := !s.cfg.DisableCodeSpace && m.CodeSpace() &&
+			m.QuantizeSlab(j.x[lo*nf:hi*nf], j.cx[lo*nf:hi*nf]) == nil
+		for r := lo; r < hi; r++ {
+			j.coded[r] = code
+		}
+		lo = hi
 	}
 }
 
 // shardScratch is one batcher's reusable working storage, so a steady
 // flow of jobs batches with zero per-batch allocation.
 type shardScratch struct {
-	jobs []*job
-	xs   [][]float64 // gathered row views, float path
-	cx   []uint8     // gathered code slab, multi-job dense path
-	out  []float64
-	cm   []int     // refresh column remap
-	rx   []float64 // refresh slab
+	jobs   []*job
+	groups []group     // this batch's model table
+	runs   []rowRun    // live rows, as runs of one job on one group
+	cx     []uint8     // gathered code slab, group-sorted
+	xs     [][]float64 // gathered float row views, group-sorted
+	out    []float64   // group-sorted results
+	cm     []int       // refresh column remap
+	rx     []float64   // refresh slab
+}
+
+// group is one entry of a batch's model table: every live row served by
+// model m on one path (code or float), gathered into the group-sorted
+// scratch at [off, off+n).
+type group struct {
+	m      *gbt.Model
+	code   bool
+	n, off int
+	err    error
+}
+
+// rowRun is n consecutive rows of job j, from row r, in group g, gathered
+// at slot off of the group-sorted scratch.
+type rowRun struct {
+	j            *job
+	r, n, g, off int
+}
+
+// groupOf returns the index of the (m, code) entry in the batch's model
+// table, adding it when new. A batch spans at most its registry's
+// models, tens of entries, so a linear scan is cheap and allocates
+// nothing once the table has grown to its steady size.
+func (sc *shardScratch) groupOf(m *gbt.Model, code bool) int {
+	for g := range sc.groups {
+		if sc.groups[g].m == m && sc.groups[g].code == code {
+			return g
+		}
+	}
+	sc.groups = append(sc.groups, group{m: m, code: code})
+	return len(sc.groups) - 1
 }
 
 // batcherLoop drains one admission shard. The first job of a batch is
@@ -178,6 +213,12 @@ func (s *Server) batcherLoop(shard chan *job) {
 // (immutable, atomically swapped) for as long as this batch needs it —
 // the mechanism behind zero dropped requests across reloads.
 //
+// Inference is one path for any mix of models: live rows are
+// counting-sorted by (model, path) into the shard scratch, each group is
+// walked once — PredictCodesDense over its gathered codes, or
+// PredictBatch over its float rows when the model has no code forest —
+// and results are scattered back to their jobs.
+//
 // Panic isolation: a panicking model (or a pool.PanicError rethrown by
 // the parallel predictor) is recovered here and converted into an error
 // answer for the jobs not yet notified; the batcher survives.
@@ -200,11 +241,13 @@ func (s *Server) runJobs(sc *shardScratch) {
 	now := time.Now()
 	s.mBatches.Inc()
 
-	// Per-job admission bookkeeping: shed the stale, refresh jobs
-	// admitted under an older generation.
+	// Shed the stale, refresh jobs admitted under an older generation,
+	// and cut every live job into runs of consecutive rows on one model
+	// (and so on one path). Rows' entries and codes are current for this snapshot —
+	// set by quantizeJob at admission, or by refreshJob after a reload —
+	// so no row needs a second lookup here.
+	sc.groups, sc.runs = sc.groups[:0], sc.runs[:0]
 	live := 0
-	liveJobs := 0
-	var lone *job
 	for _, j := range jobs {
 		j.gen = snap.Generation
 		wait := now.Sub(j.enq)
@@ -217,164 +260,66 @@ func (s *Server) runJobs(sc *shardScratch) {
 		if j.areg != snap {
 			s.refreshJob(sc, j, snap)
 		}
+		for lo := 0; lo < j.n; {
+			m := j.ents[lo].m
+			hi := lo + 1
+			for hi < j.n && j.ents[hi].m == m {
+				hi++
+			}
+			g := sc.groupOf(m, j.coded[lo])
+			sc.groups[g].n += hi - lo
+			sc.runs = append(sc.runs, rowRun{j: j, r: lo, n: hi - lo, g: g})
+			lo = hi
+		}
 		live += j.n
-		liveJobs++
-		lone = j
 	}
 	s.mBatchSize.Observe(float64(live))
-	if live == 0 {
-		for _, j := range jobs {
-			j.notify()
-		}
-		return
-	}
 
-	// Every live job's rows are resolved on this batch's snapshot — by
-	// quantizeJob at admission when the snapshot is unchanged (the steady
-	// state: just scan the entries it stored), or by refreshJob above
-	// after a reload. Either way j.ents is current; no row needs a second
-	// map lookup here.
-	single := true
-	var first *edgeEntry
-	for _, j := range jobs {
-		if j.shed {
-			continue
-		}
-		for r := 0; r < j.n; r++ {
-			e := j.ents[r]
-			if first == nil {
-				first = e
-			} else if e.m != first.m {
-				single = false
-			}
-		}
+	// Counting sort: lay the groups out back to back, then gather each
+	// run into its group's next free slots.
+	off := 0
+	for g := range sc.groups {
+		sc.groups[g].off = off
+		off += sc.groups[g].n
+		sc.groups[g].n = 0
 	}
-
-	if single {
-		// Fast path: one model serves every live row. Prefer the dense
-		// code-space walk — in place over a job's own slab when the
-		// batch is one job (the /predict/batch steady state), via a
-		// gathered scratch slab otherwise (coalesced singletons).
-		codes := !s.cfg.DisableCodeSpace && first.m.CodeSpace()
-		if codes {
-			for _, j := range jobs {
-				if !j.shed && j.qm != first.m {
-					codes = false
-					break
-				}
-			}
-		}
-		var err error
-		switch {
-		case codes && liveJobs == 1:
-			err = first.m.PredictCodesDense(lone.cx[:lone.n*nf], lone.out[:lone.n])
-		case codes:
-			sc.cx = grow(sc.cx, live*nf)
-			sc.out = grow(sc.out, live)
-			off := 0
-			for _, j := range jobs {
-				if j.shed {
-					continue
-				}
-				copy(sc.cx[off*nf:], j.cx[:j.n*nf])
-				off += j.n
-			}
-			err = first.m.PredictCodesDense(sc.cx[:live*nf], sc.out[:live])
-			scatter(jobs, sc.out)
-		default:
-			xs := sc.xs[:0]
-			for _, j := range jobs {
-				if j.shed {
-					continue
-				}
-				for r := 0; r < j.n; r++ {
-					xs = append(xs, j.x[r*nf:(r+1)*nf])
-				}
-			}
-			sc.xs = xs
-			sc.out = grow(sc.out, live)
-			err = first.m.PredictBatch(xs, sc.out[:live])
-			scatter(jobs, sc.out)
-		}
-		if err != nil {
-			for _, j := range jobs {
-				if !j.shed {
-					j.err = err
-				}
-			}
-		}
-		for _, j := range jobs {
-			j.notify()
-		}
-		return
-	}
-
-	// General path: group live rows by resolved model, one batch predict
-	// per group, code-space when the whole group's jobs carry codes cut
-	// for it. Rare (a batch spanning edges with different models), so the
-	// grouping structures may allocate.
-	type rowRef struct {
-		j *job
-		r int
-	}
-	groups := map[*gbt.Model][]rowRef{}
-	for _, j := range jobs {
-		if j.shed {
-			continue
-		}
-		for r := 0; r < j.n; r++ {
-			m := j.ents[r].m
-			groups[m] = append(groups[m], rowRef{j, r})
-		}
-	}
-	for m, refs := range groups {
-		out := make([]float64, len(refs))
-		codes := !s.cfg.DisableCodeSpace && m.CodeSpace()
-		if codes {
-			for _, rr := range refs {
-				if rr.j.qm != m {
-					codes = false
-					break
-				}
-			}
-		}
-		var err error
-		if codes {
-			cxs := make([][]uint8, len(refs))
-			for k, rr := range refs {
-				cxs[k] = rr.j.cx[rr.r*nf : (rr.r+1)*nf]
-			}
-			err = m.PredictCodes(cxs, out)
+	sc.cx = grow(sc.cx, live*nf)
+	sc.xs = grow(sc.xs, live)
+	sc.out = grow(sc.out, live)
+	for i := range sc.runs {
+		ru := &sc.runs[i]
+		g := &sc.groups[ru.g]
+		ru.off = g.off + g.n
+		g.n += ru.n
+		if g.code {
+			copy(sc.cx[ru.off*nf:], ru.j.cx[ru.r*nf:(ru.r+ru.n)*nf])
 		} else {
-			xs := make([][]float64, len(refs))
-			for k, rr := range refs {
-				xs[k] = rr.j.x[rr.r*nf : (rr.r+1)*nf]
+			for k := 0; k < ru.n; k++ {
+				sc.xs[ru.off+k] = ru.j.x[(ru.r+k)*nf : (ru.r+k+1)*nf]
 			}
-			err = m.PredictBatch(xs, out)
 		}
-		for k, rr := range refs {
-			if err != nil {
-				rr.j.err = err
-			} else {
-				rr.j.out[rr.r] = out[k]
-			}
+	}
+
+	for i := range sc.groups {
+		g := &sc.groups[i]
+		out := sc.out[g.off : g.off+g.n]
+		if g.code {
+			g.err = g.m.PredictCodesDense(sc.cx[g.off*nf:(g.off+g.n)*nf], out)
+			s.mRowsCode.Add(int64(g.n))
+		} else {
+			g.err = g.m.PredictBatch(sc.xs[g.off:g.off+g.n], out)
+			s.mRowsFloat.Add(int64(g.n))
+		}
+	}
+	for _, ru := range sc.runs {
+		if err := sc.groups[ru.g].err; err != nil {
+			ru.j.err = err
+		} else {
+			copy(ru.j.out[ru.r:ru.r+ru.n], sc.out[ru.off:ru.off+ru.n])
 		}
 	}
 	for _, j := range jobs {
 		j.notify()
-	}
-}
-
-// scatter copies gathered results back into each live job's out slab, in
-// the same job order the gather walked.
-func scatter(jobs []*job, out []float64) {
-	off := 0
-	for _, j := range jobs {
-		if j.shed {
-			continue
-		}
-		copy(j.out[:j.n], out[off:off+j.n])
-		off += j.n
 	}
 }
 

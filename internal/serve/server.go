@@ -126,6 +126,7 @@ type Server struct {
 	mRequests, mPredictions, mBadRequests *obs.Counter
 	mPanics, mReloads, mReloadFailures    *obs.Counter
 	mBatches, mBatchRequests              *obs.Counter
+	mRowsCode, mRowsFloat                 *obs.Counter
 	mGeneration, mQueueDepth              *obs.Gauge
 	mBatchSize, mQueueWait, mLatency      *obs.Histogram
 	mBatchRows                            *obs.Histogram
@@ -166,6 +167,11 @@ func New(cfg Config) (*Server, error) {
 	s.mReloadFailures = reg.Counter("serve.reload_failures")
 	s.mBatches = reg.Counter("serve.batches")
 	s.mBatchRequests = reg.Counter("serve.batch_requests")
+	// Rows by inference path: code-space walk, or the float walk for
+	// models without a code forest (warm-started stream models) and
+	// under DisableCodeSpace.
+	s.mRowsCode = reg.Counter(`serve.rows{path="code"}`)
+	s.mRowsFloat = reg.Counter(`serve.rows{path="float"}`)
 	s.mGeneration = reg.Gauge("serve.generation")
 	s.mQueueDepth = reg.Gauge("serve.queue_depth")
 	s.mBatchSize = reg.Histogram("serve.batch_size", obs.ExpBuckets(1, 2, 10))

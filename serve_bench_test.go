@@ -14,10 +14,11 @@ import (
 )
 
 var (
-	serveBenchOnce sync.Once
-	serveBenchPath string
-	serveBenchReqs []*serve.PredictRequest
-	serveBenchErr  error
+	serveBenchOnce  sync.Once
+	serveBenchPath  string
+	serveBenchReqs  []*serve.PredictRequest
+	serveBenchMixed []serve.BatchRow
+	serveBenchErr   error
 )
 
 // serveBenchRegistry builds the serving registry from the bench pipeline
@@ -27,7 +28,9 @@ var (
 // forests and the serve benchmarks measure the quantized path a deployed
 // daemon runs. Also prepares one request per row of the busiest edge —
 // the same rows BenchmarkPredictAll scores, so the serving benchmarks
-// compare against raw forest inference directly.
+// compare against raw forest inference directly. Every logged transfer,
+// in log order, is also kept as a pre-vectorized batch row for the
+// mixed-edge benchmark.
 func serveBenchRegistry(b *testing.B) (string, []*serve.PredictRequest) {
 	b.Helper()
 	serveBenchOnce.Do(func() {
@@ -68,6 +71,10 @@ func serveBenchRegistry(b *testing.B) (string, []*serve.PredictRequest) {
 				Dst:      edge.Edge.Dst,
 				Features: feats,
 			})
+		}
+		for _, v := range pl.Vecs {
+			r := &pl.Log.Records[v.RecordIdx]
+			serveBenchMixed = append(serveBenchMixed, serve.BatchRow{Src: r.Src, Dst: r.Dst, X: v.Values(false)})
 		}
 	})
 	if serveBenchErr != nil {
@@ -251,10 +258,10 @@ func BenchmarkServePredict(b *testing.B) {
 }
 
 // BenchmarkServePredictBatch measures the batch front door end to end:
-// 256 pre-vectorized rows per PredictBatchSync call — one admission
-// unit, one queue slot, one batcher wake, one dense in-place code-space
-// walk — which is what POST /predict/batch does per request minus HTTP
-// framing. ns/op is the cost of one 256-row batch; rows/s is the
+// 256 pre-vectorized rows of one edge per PredictBatchSync call — one
+// admission unit, one queue slot, one batcher wake, one dense
+// code-space walk — which is what POST /predict/batch does per request
+// minus HTTP framing. ns/op is the cost of one 256-row batch; rows/s is the
 // headline serving throughput the front-door rework is scored against.
 // Steady state is allocation-free: job, slabs, and completion slot are
 // all pooled.
@@ -283,6 +290,53 @@ func BenchmarkServePredictBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := srv.PredictBatchSync(ctx, rows, out); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	n := float64(b.N) * batch
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/row")
+	b.ReportMetric(n/b.Elapsed().Seconds(), "rows/s")
+}
+
+// BenchmarkServePredictBatchMixed is BenchmarkServePredictBatch on the
+// traffic a deployed daemon sees: consecutive 256-row slices of the log
+// in log order, so every batch mixes edges, and together the batches
+// span every study edge's model plus the global fallback. Steady state
+// is allocation-free here too: grouping a batch by model reuses the
+// batcher's scratch.
+func BenchmarkServePredictBatchMixed(b *testing.B) {
+	srv, _ := serveBenchServer(b, nil)
+	all := serveBenchMixed
+	const batch = 256
+	batches := make([][]serve.BatchRow, len(all)/batch)
+	for i := range batches {
+		batches[i] = all[i*batch : (i+1)*batch]
+	}
+	if len(batches) == 0 {
+		b.Fatalf("only %d logged rows", len(all))
+	}
+	out := make([]serve.PredictResponse, batch)
+	ctx := context.Background()
+	// One pass over every batch warms the job pool and the batcher
+	// scratch, and checks the batches really span every served model.
+	reg := srv.Registry()
+	served := map[string]bool{}
+	for _, rows := range batches {
+		if err := srv.PredictBatchSync(ctx, rows, out); err != nil {
+			b.Fatal(err)
+		}
+		for _, o := range out {
+			served[o.Model] = true
+		}
+	}
+	if want := len(reg.Edges) + 1; len(served) != want {
+		b.Fatalf("batches are served by %d models, want every edge model and the global (%d)", len(served), want)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := srv.PredictBatchSync(ctx, batches[i%len(batches)], out); err != nil {
 			b.Fatal(err)
 		}
 	}
