@@ -10,14 +10,14 @@ import (
 
 // The handoff machinery behind the front door. One admitted unit of work
 // is a job — n rows sharing an admission snapshot, an enqueue timestamp,
-// and ONE completion notification, whether it came from /predict (n=1),
-// /predict/batch, or PredictBatchSync. Jobs are sync.Pool-recycled
-// completion slots: the waiter checks one out, fills the row slabs, and
-// hands it to a per-batcher admission shard; the batcher that drains the
-// shard coalesces jobs up to BatchMax rows, runs ONE inference per
-// serving model over the gathered rows, publishes every result, and wakes each job with a
-// single channel send — one wake per job per drained batch, never one
-// per row. The waiter alone recycles the job (an abandoned job — client
+// and ONE completion notification, whether it came from /predict or
+// PredictSync (n=1), /predict/batch or PredictBatchSync. Jobs are
+// sync.Pool-recycled completion slots: the waiter checks one out, fills
+// the row slabs, and hands it to a per-batcher admission shard; the
+// batcher that drains the shard coalesces jobs up to BatchMax rows, runs
+// ONE inference per serving model over the gathered rows, publishes
+// every result, and wakes each job with a single channel send — one wake
+// per job per drained batch, never one per row. The waiter alone recycles the job (an abandoned job — client
 // deadline, drain hard-stop — is left to the GC, because the batcher may
 // still be writing into it).
 
@@ -30,9 +30,9 @@ type job struct {
 	// coded[r] reports that cx row r holds row r's codes under
 	// ents[r].m — the per-row admission invariant quantizeJob
 	// establishes (and refreshJob restores after a reload). It is false
-	// for rows whose model has no code forest, under DisableCodeSpace,
-	// and for a run of rows the quantizer refused (a non-finite
-	// feature); those rows take the float walk. It is uniform across
+	// for rows whose model has no code forest and for a run of rows the
+	// quantizer refused (a non-finite feature); those rows take the
+	// float walk. It is uniform across
 	// each run of consecutive rows on one model.
 	coded []bool
 
@@ -123,8 +123,7 @@ func (s *Server) quantizeJob(j *job, snap *Registry) {
 		for hi < j.n && j.ents[hi].m == m {
 			hi++
 		}
-		code := !s.cfg.DisableCodeSpace && m.CodeSpace() &&
-			m.QuantizeSlab(j.x[lo*nf:hi*nf], j.cx[lo*nf:hi*nf]) == nil
+		code := m.CodeSpace() && m.QuantizeSlab(j.x[lo*nf:hi*nf], j.cx[lo*nf:hi*nf]) == nil
 		for r := lo; r < hi; r++ {
 			j.coded[r] = code
 		}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"math/rand"
 	"testing"
 )
 
@@ -28,47 +27,6 @@ func TestRegistryVersion1FailsClosed(t *testing.T) {
 	// The original version-2 payload still loads.
 	if _, err := ReadRegistry(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("version-2 registry rejected: %v", err)
-	}
-}
-
-// TestServeCodeSpaceABIdentical runs the same request stream through a
-// code-space server and a DisableCodeSpace (float-only) server built
-// from identical registries, and requires every answer to match
-// bit-for-bit — the serving-layer differential for the quantized engine,
-// covering edge and global models, batching, and the admission-time
-// quantizer.
-func TestServeCodeSpaceABIdentical(t *testing.T) {
-	quant, _ := newTestServer(t, 1, nil)
-	float, _ := newTestServer(t, 1, func(c *Config) { c.DisableCodeSpace = true })
-	quant.Start()
-	float.Start()
-	defer quant.Drain()
-	defer float.Drain()
-
-	rng := rand.New(rand.NewSource(99))
-	for i := 0; i < 300; i++ {
-		req := &PredictRequest{Src: "S1", Dst: "D1", Features: map[string]float64{
-			"a": rng.Float64()*4 - 2, // off the training surface on purpose
-			"b": rng.Float64()*4 - 2,
-			"c": rng.Float64()*4 - 2,
-		}}
-		if i%3 == 0 {
-			req.Src, req.Dst = "X", "Y" // global fallback
-		}
-		q, err := quant.PredictSync(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := float.PredictSync(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if q.Rate != f.Rate {
-			t.Fatalf("request %d: code-space rate %v != float rate %v", i, q.Rate, f.Rate)
-		}
-		if q.Model != f.Model {
-			t.Fatalf("request %d: model %q vs %q", i, q.Model, f.Model)
-		}
 	}
 }
 

@@ -109,41 +109,33 @@ func checkPredict(t testing.TB, reg *Registry, what, src, dst string, x []float6
 // one run carries a NaN feature the quantizer refuses, so that run takes
 // the float walk; the path counters account for every row.
 func TestMixedBatchMatchesPredict(t *testing.T) {
-	for _, disable := range []bool{false, true} {
-		s, _ := newMixedServer(t, testFeatures, func(c *Config) { c.DisableCodeSpace = disable })
-		s.Start()
-		rng := rand.New(rand.NewSource(5))
-		const n = 120
-		rows := make([]BatchRow, n)
-		exact := 0
-		for i := range rows {
-			e := mixedEdges[(i/3)%len(mixedEdges)]
-			rows[i] = BatchRow{Src: e[0], Dst: e[1], X: []float64{rng.Float64()*3 - 1, rng.Float64()*3 - 1, rng.Float64()*3 - 1}}
-			if e[0] == "S2" {
-				exact++
-			}
+	s, _ := newMixedServer(t, testFeatures, nil)
+	s.Start()
+	defer s.Drain()
+	rng := rand.New(rand.NewSource(5))
+	const n = 120
+	rows := make([]BatchRow, n)
+	exact := 0
+	for i := range rows {
+		e := mixedEdges[(i/3)%len(mixedEdges)]
+		rows[i] = BatchRow{Src: e[0], Dst: e[1], X: []float64{rng.Float64()*3 - 1, rng.Float64()*3 - 1, rng.Float64()*3 - 1}}
+		if e[0] == "S2" {
+			exact++
 		}
-		rows[1].X[2] = math.NaN() // in the first S1->D1 run
-		out := make([]PredictResponse, n)
-		if err := s.PredictBatchSync(context.Background(), rows, out); err != nil {
-			t.Fatal(err)
-		}
-		reg := s.Registry()
-		for i, r := range rows {
-			checkPredict(t, reg, "row", r.Src, r.Dst, r.X, out[i].Rate, out[i].Model)
-		}
-		code := s.cfg.Metrics.Counter(`serve.rows{path="code"}`).Value()
-		float := s.cfg.Metrics.Counter(`serve.rows{path="float"}`).Value()
-		wantFloat := int64(exact + 3)
-		if disable {
-			wantFloat = n
-		}
-		if code+float != n || float != wantFloat {
-			t.Errorf("DisableCodeSpace=%v: serve.rows code %d float %d, want %d float of %d", disable, code, float, wantFloat, n)
-		}
-		if err := s.Drain(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	rows[1].X[2] = math.NaN() // in the first S1->D1 run
+	out := make([]PredictResponse, n)
+	if err := s.PredictBatchSync(context.Background(), rows, out); err != nil {
+		t.Fatal(err)
+	}
+	reg := s.Registry()
+	for i, r := range rows {
+		checkPredict(t, reg, "row", r.Src, r.Dst, r.X, out[i].Rate, out[i].Model)
+	}
+	code := s.cfg.Metrics.Counter(`serve.rows{path="code"}`).Value()
+	float := s.cfg.Metrics.Counter(`serve.rows{path="float"}`).Value()
+	if wantFloat := int64(exact + 3); code+float != n || float != wantFloat {
+		t.Errorf("serve.rows code %d float %d, want %d float of %d", code, float, wantFloat, n)
 	}
 }
 
@@ -228,20 +220,18 @@ func TestCoalescedSingletonsMixedEdges(t *testing.T) {
 // TestMixedBatchAcrossReload: jobs admitted under one generation and
 // batched after a reload to a registry with new models and a permuted
 // feature layout are re-vectorized and re-quantized per row against the
-// new snapshot (refreshJob), with and without code space.
+// new snapshot (refreshJob).
 func TestMixedBatchAcrossReload(t *testing.T) {
-	for _, disable := range []bool{false, true} {
-		s, path := newMixedServer(t, testFeatures, func(c *Config) { c.DisableCodeSpace = disable })
-		rng := rand.New(rand.NewSource(13))
-		jobs := admitRows(s, rng, []int{1, 5, 1, 9, 1})
-		before := s.Generation()
-		writeRegistryFile(t, path, mixedRegistry(t, []string{"c", "a", "b"}, 2.5))
-		if err := s.Reload(); err != nil {
-			t.Fatal(err)
-		}
-		if s.Generation() == before {
-			t.Fatal("reload did not promote")
-		}
-		checkJobs(t, s, jobs, runBatch(s, jobs))
+	s, path := newMixedServer(t, testFeatures, nil)
+	rng := rand.New(rand.NewSource(13))
+	jobs := admitRows(s, rng, []int{1, 5, 1, 9, 1})
+	before := s.Generation()
+	writeRegistryFile(t, path, mixedRegistry(t, []string{"c", "a", "b"}, 2.5))
+	if err := s.Reload(); err != nil {
+		t.Fatal(err)
 	}
+	if s.Generation() == before {
+		t.Fatal("reload did not promote")
+	}
+	checkJobs(t, s, jobs, runBatch(s, jobs))
 }

@@ -47,13 +47,22 @@ func ParseRequest(data []byte) (*PredictRequest, error) {
 	if err := checkEOF(dec); err != nil {
 		return nil, err
 	}
-	if len(req.Features) == 0 {
-		return nil, fmt.Errorf("%w: no features", ErrBadRequest)
-	}
-	if req.DeadlineMS < 0 {
-		return nil, fmt.Errorf("%w: negative deadline_ms", ErrBadRequest)
+	if err := req.validate(); err != nil {
+		return nil, err
 	}
 	return &req, nil
+}
+
+// validate applies the rules every entry point holds a request to: at
+// least one feature and a non-negative deadline.
+func (req *PredictRequest) validate() error {
+	if len(req.Features) == 0 {
+		return fmt.Errorf("%w: no features", ErrBadRequest)
+	}
+	if req.DeadlineMS < 0 {
+		return fmt.Errorf("%w: negative deadline_ms", ErrBadRequest)
+	}
+	return nil
 }
 
 func checkEOF(dec *json.Decoder) error {

@@ -41,7 +41,7 @@ func testModel(t testing.TB, seed int64, scale float64) *gbt.Model {
 	// Histogram-trained, so serve tests exercise the code-space (uint8)
 	// inference path end to end — the exact-rate assertions below then
 	// pin quantized serving bit-identical to Model.Predict. (The float
-	// batch path is covered by the DisableCodeSpace A/B test.)
+	// walk is covered by mixedRegistry's exact-trained edge.)
 	p.Bins = 256
 	m, err := gbt.Train(d, p)
 	if err != nil {

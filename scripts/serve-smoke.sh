@@ -21,11 +21,9 @@ url="http://$addr"
 
 tmp="$(mktemp -d)"
 pid=""
-pid2=""
 pid3=""
 cleanup() {
     [ -n "$pid" ] && kill -9 "$pid" 2>/dev/null || true
-    [ -n "$pid2" ] && kill -9 "$pid2" 2>/dev/null || true
     [ -n "$pid3" ] && kill -9 "$pid3" 2>/dev/null || true
     rm -rf "$tmp"
 }
@@ -119,50 +117,6 @@ kill -TERM "$pid3" 2>/dev/null || true
 wait "$pid3" 2>/dev/null || true
 pid3=""
 step "overloaded batch shed whole with 429 + Retry-After, counted per reason"
-
-# Code-space differential: the same (binned, version-2) registry served
-# through a -no-codespace daemon — the float-only pre-upgrade behavior —
-# must return BYTE-identical rates to the quantized daemon, across the
-# global fallback and a real edge model. This is the upgrade's
-# no-silent-divergence guarantee, asserted end to end over HTTP.
-step "code-space differential: quantized vs -no-codespace daemon"
-addr2="127.0.0.1:$((port+1))"
-url2="http://$addr2"
-"$tmp/wanperf" serve -registry "$tmp/registry.json" -addr "$addr2" \
-    -no-codespace -drain-timeout 5s -watch -1s >"$tmp/serve2.log" 2>&1 &
-pid2=$!
-for i in $(seq 1 50); do
-    curl -sf "$url2/healthz" >/dev/null 2>&1 && break
-    kill -0 "$pid2" 2>/dev/null || { cat "$tmp/serve2.log" >&2; fail "float daemon died on startup"; }
-    sleep 0.2
-done
-curl -sf "$url2/healthz" >/dev/null || fail "float daemon healthz never came up"
-
-predict2() { curl -s -X POST -H 'Content-Type: application/json' --data "$1" "$url2/predict"; }
-rate_of() { sed 's/.*"rate"://; s/[,}].*//' <<<"$1"; }
-
-# One global-fallback body plus an edge body if the registry has edges.
-diff_bodies='{"src":"smoke","dst":"smoke","features":{"C":4,"Nf":100}}
-{"src":"smoke","dst":"smoke","features":{"C":8,"P":2,"Nf":7,"Nb":1e8}}'
-# encoding/json HTML-escapes ">", so edge keys appear as SRC->DST.
-edge_key="$(grep -o '"[^"]*-\\u003e[^"]*"' "$tmp/registry.json" | head -1 | tr -d '"' | sed 's/-\\u003e/->/')"
-if [ -n "$edge_key" ]; then
-    esrc="${edge_key%%->*}"
-    edst="${edge_key##*->}"
-    diff_bodies="$diff_bodies
-{\"src\":\"$esrc\",\"dst\":\"$edst\",\"features\":{\"C\":4,\"P\":4,\"Nf\":100,\"Nb\":1e9}}"
-    step "differential covers edge model $edge_key"
-fi
-while IFS= read -r dbody; do
-    r_quant="$(rate_of "$(predict "$dbody")")"
-    r_float="$(rate_of "$(predict2 "$dbody")")"
-    [ -n "$r_quant" ] || fail "no rate in quantized response for $dbody"
-    [ "$r_quant" = "$r_float" ] || fail "code-space rate $r_quant != float rate $r_float for $dbody"
-done <<<"$diff_bodies"
-kill -TERM "$pid2" 2>/dev/null || true
-wait "$pid2" 2>/dev/null || true
-pid2=""
-step "quantized and float daemons serve identical rates"
 
 step "corrupt reload: daemon must keep the last good registry"
 cp "$tmp/registry.json" "$tmp/registry.json.good"

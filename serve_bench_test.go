@@ -88,7 +88,7 @@ func serveBenchRegistry(b *testing.B) (string, []*serve.PredictRequest) {
 // matrix: the batcher count defaults to GOMAXPROCS, which the harness
 // varies per -cpu run, so a server cached at the first run's width would
 // silently pin every later run to it.
-func serveBenchServer(b *testing.B, mod func(*serve.Config)) (*serve.Server, []*serve.PredictRequest) {
+func serveBenchServer(b *testing.B) (*serve.Server, []*serve.PredictRequest) {
 	b.Helper()
 	path, reqs := serveBenchRegistry(b)
 	cfg := serve.Config{
@@ -98,9 +98,6 @@ func serveBenchServer(b *testing.B, mod func(*serve.Config)) (*serve.Server, []*
 		RequestTimeout: time.Minute,
 		WatchInterval:  -1,
 		Logf:           func(string, ...any) {},
-	}
-	if mod != nil {
-		mod(&cfg)
 	}
 	srv, err := serve.New(cfg)
 	if err != nil {
@@ -124,7 +121,7 @@ const serveBenchBatchRows = 64
 // traversal of the same model on the same rows, and the committed
 // bench/BENCH_pre-codespace artifact is the pre-engine baseline.
 func BenchmarkServeBatchInference(b *testing.B) {
-	srv, reqs := serveBenchServer(b, nil)
+	srv, reqs := serveBenchServer(b)
 	const batch = serveBenchBatchRows
 	if len(reqs) < batch {
 		b.Fatalf("only %d rows", len(reqs))
@@ -173,7 +170,7 @@ func BenchmarkServeBatchInference(b *testing.B) {
 // BenchmarkServeBatchInference, isolating the code-space speedup from
 // model or data drift between bench runs.
 func BenchmarkServeBatchInferenceFloat(b *testing.B) {
-	srv, reqs := serveBenchServer(b, nil)
+	srv, reqs := serveBenchServer(b)
 	const batch = serveBenchBatchRows
 	if len(reqs) < batch {
 		b.Fatalf("only %d rows", len(reqs))
@@ -209,7 +206,7 @@ func BenchmarkServeBatchInferenceFloat(b *testing.B) {
 // points. This cost is paid once per request, then every tree level of
 // every tree reads codes instead of floats.
 func BenchmarkQuantizeRow(b *testing.B) {
-	srv, reqs := serveBenchServer(b, nil)
+	srv, reqs := serveBenchServer(b)
 	reg := srv.Registry()
 	m, _ := reg.Lookup(reqs[0].Src, reqs[0].Dst)
 	x := make([]float64, len(reg.Features))
@@ -236,7 +233,7 @@ func BenchmarkQuantizeRow(b *testing.B) {
 // batcher count follows GOMAXPROCS, so the matrix shows multi-batcher
 // scaling directly.
 func BenchmarkServePredict(b *testing.B) {
-	srv, reqs := serveBenchServer(b, nil)
+	srv, reqs := serveBenchServer(b)
 	ctx := context.Background()
 	b.ReportAllocs()
 	// Enough concurrent clients per core that the batchers coalesce real
@@ -266,7 +263,7 @@ func BenchmarkServePredict(b *testing.B) {
 // Steady state is allocation-free: job, slabs, and completion slot are
 // all pooled.
 func BenchmarkServePredictBatch(b *testing.B) {
-	srv, reqs := serveBenchServer(b, nil)
+	srv, reqs := serveBenchServer(b)
 	reg := srv.Registry()
 	const batch = 256
 	rows := make([]serve.BatchRow, batch)
@@ -306,7 +303,7 @@ func BenchmarkServePredictBatch(b *testing.B) {
 // is allocation-free here too: grouping a batch by model reuses the
 // batcher's scratch.
 func BenchmarkServePredictBatchMixed(b *testing.B) {
-	srv, _ := serveBenchServer(b, nil)
+	srv, _ := serveBenchServer(b)
 	all := serveBenchMixed
 	const batch = 256
 	batches := make([][]serve.BatchRow, len(all)/batch)
@@ -344,25 +341,4 @@ func BenchmarkServePredictBatchMixed(b *testing.B) {
 	n := float64(b.N) * batch
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/row")
 	b.ReportMetric(n/b.Elapsed().Seconds(), "rows/s")
-}
-
-// BenchmarkServePredictFloat is BenchmarkServePredict with code-space
-// inference disabled — the aggregate-throughput A/B partner.
-func BenchmarkServePredictFloat(b *testing.B) {
-	srv, reqs := serveBenchServer(b, func(c *serve.Config) { c.DisableCodeSpace = true })
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.SetParallelism(64)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			req := reqs[i%len(reqs)]
-			i++
-			if _, err := srv.PredictSync(ctx, req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }
