@@ -186,16 +186,25 @@ func BenchmarkFig9To12(b *testing.B) {
 }
 
 // BenchmarkFig11Headline trains models on several edges and reports the
-// aggregate MdAPE comparison (the paper's 7.0% vs 4.6% headline).
-func BenchmarkFig11Headline(b *testing.B) {
+// aggregate MdAPE comparison (the paper's 7.0% vs 4.6% headline) on the
+// exact presorted training path.
+func BenchmarkFig11Headline(b *testing.B) { benchFig11(b, 0) }
+
+// BenchmarkFig11HeadlineHist is the same evaluation on the histogram
+// path with 256 bins, the training path the CLI and perfbench run.
+func BenchmarkFig11HeadlineHist(b *testing.B) { benchFig11(b, 256) }
+
+func benchFig11(b *testing.B, bins int) {
 	p, edges := benchPipeline(b)
 	n := len(edges)
 	if n > 4 {
 		n = 4
 	}
+	pb := *p
+	pb.GBTBins = bins
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results, err := p.EvaluateEdges(edges[:n])
+		results, err := pb.EvaluateEdges(edges[:n])
 		if err != nil {
 			b.Fatal(err)
 		}

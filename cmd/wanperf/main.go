@@ -240,7 +240,9 @@ func run(ctx context.Context, cmd string, cfg simulate.Config, opts options, o *
 			return err
 		}
 		pl.GBTBins = opts.gbtBins
+		sp := o.Child("select_edges")
 		edges = pl.StudyEdges()
+		sp.End()
 		fmt.Fprintf(os.Stderr, "%d transfers logged, %d study edges\n", len(pl.Log.Records), len(edges))
 	}
 	c, ok := commands[cmd]
@@ -507,6 +509,10 @@ func cmdModels(c cmdContext) error {
 	if err != nil {
 		return err
 	}
+	// Rendering is not free: Figure 11's bootstrap confidence intervals
+	// resample every edge's APEs.
+	sp := c.o.Child("render")
+	defer sp.End()
 	fmt.Println("== Figure 10: per-edge APE distributions ==")
 	fmt.Print(core.RenderFig10(results))
 	fmt.Println("== Figure 11: per-edge MdAPE ==")

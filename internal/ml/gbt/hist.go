@@ -2,6 +2,7 @@ package gbt
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"time"
@@ -119,8 +120,11 @@ func trainHistFrom(bd *dataset.Binned, codes [][]uint8, y []float64, p Params, p
 	hb := newHistBuilder(bd, codes, p)
 
 	var allRows, allCols []int
+	var mark []bool
 	if p.SubsampleRows >= 1 {
 		allRows = identity(n)
+	} else {
+		mark = make([]bool, n)
 	}
 	if p.SubsampleCols >= 1 {
 		allCols = identity(bd.NumFeatures())
@@ -146,7 +150,7 @@ func trainHistFrom(bd *dataset.Binned, codes [][]uint8, y []float64, p Params, p
 		}
 		rows := allRows
 		if rows == nil {
-			rows = sampleRows(n, p.SubsampleRows, rng)
+			rows = sampleRows(n, p.SubsampleRows, rng, mark)
 		}
 		cols := allCols
 		if cols == nil {
@@ -162,10 +166,18 @@ func trainHistFrom(bd *dataset.Binned, codes [][]uint8, y []float64, p Params, p
 			treesBuilt.Inc()
 		}
 		m.trees = append(m.trees, t)
-		// Out-of-sample rows need predictions too, so the update walks
-		// every row — in code space, which needs no raw feature matrix.
-		for i := 0; i < n; i++ {
-			pred[i] += hb.predictCodes(t.nodes, i)
+		// In-sample rows (ascending in rows) take the weight of the leaf
+		// that grew them — the leaf a walk would reach. Only the rows row
+		// subsampling left out walk the tree, in code space, which needs
+		// no raw feature matrix.
+		j := 0
+		for i := range pred {
+			if j < len(rows) && rows[j] == i {
+				pred[i] += hb.rowWeight[i]
+				j++
+			} else {
+				pred[i] += hb.predictCodes(t.nodes, i)
+			}
 		}
 	}
 	if measure {
@@ -188,9 +200,8 @@ func binsOf(bd *dataset.Binned) int {
 }
 
 // histBuilder holds the per-training-run state of histogram tree growth.
-// Histograms are interleaved (g, h) pairs in one flat buffer covering
-// every feature's bins at per-feature offsets; buffers are pooled, and at
-// most depth+1 are ever live (root plus one small child per level).
+// Histograms are pooled histBufs, and at most depth+1 are ever live (root
+// plus one small child per level).
 type histBuilder struct {
 	codes   [][]uint8 // column-major bin codes, dense positions 0..n-1
 	cuts    [][]float64
@@ -202,14 +213,29 @@ type histBuilder struct {
 	p       Params
 	n       int
 
-	rows     []int32     // working row array, partitioned in place per node
-	scratch  []int32     // stable-partition spill for the right child
-	histPool [][]float64 // free histogram buffers, each 2·histLen floats
-	splitBin []uint8     // per emitted node: the split's bin (training only)
+	rows      []int32    // working row array, partitioned in place per node
+	scratch   []int32    // stable-partition spill for the right child
+	histPool  []*histBuf // free histograms, every bin zero and every mask clear
+	splitBin  []uint8    // per emitted node: the split's bin (training only)
+	rowWeight []float64  // per row: the weight of the leaf that grew it this round
 
 	measure bool
 	splitNS int64
 }
+
+// histBuf is one gradient/hessian histogram: interleaved (g, h) pairs in
+// one flat buffer covering every feature's bins at per-feature offsets,
+// plus a 256-bit occupancy mask per feature (occ[4f:4f+4]). A bin whose
+// bit is clear holds exactly (+0, +0); every loop over bins walks set bits
+// only, so the cost of a histogram follows its occupied bins, not the bin
+// budget.
+type histBuf struct {
+	gh  []float64
+	occ []uint64
+}
+
+// occWords is the number of uint64 mask words per feature: 256 bins.
+const occWords = 4
 
 func newHistBuilder(bd *dataset.Binned, codes [][]uint8, p Params) *histBuilder {
 	nf := bd.NumFeatures()
@@ -231,24 +257,44 @@ func newHistBuilder(bd *dataset.Binned, codes [][]uint8, p Params) *histBuilder 
 	}
 	hb.rows = make([]int32, hb.n)
 	hb.scratch = make([]int32, 0, hb.n)
+	hb.rowWeight = make([]float64, hb.n)
 	return hb
 }
 
-func (hb *histBuilder) getHist() []float64 {
+func (hb *histBuilder) getHist() *histBuf {
 	if k := len(hb.histPool); k > 0 {
 		h := hb.histPool[k-1]
 		hb.histPool = hb.histPool[:k-1]
 		return h
 	}
-	return make([]float64, 2*hb.histLen)
+	return &histBuf{
+		gh:  make([]float64, 2*hb.histLen),
+		occ: make([]uint64, occWords*len(hb.nbins)),
+	}
 }
 
-func (hb *histBuilder) putHist(h []float64) { hb.histPool = append(hb.histPool, h) }
+// putHist returns h to the pool clean: only its set bins can be nonzero,
+// so zeroing them and clearing the masks restores the all-zero state.
+func (hb *histBuilder) putHist(h *histBuf) {
+	for f, off := range hb.offsets {
+		gh := h.gh[2*off : 2*(off+hb.nbins[f])]
+		occ := h.occ[occWords*f : occWords*(f+1)]
+		for w, word := range occ {
+			for ; word != 0; word &= word - 1 {
+				k := 2 * (w<<6 | bits.TrailingZeros64(word))
+				gh[k], gh[k+1] = 0, 0
+			}
+			occ[w] = 0
+		}
+	}
+	hb.histPool = append(hb.histPool, h)
+}
 
 // build grows one tree on the given row subset using only the given
 // columns. rows come in ascending; the in-place partitions are stable, so
 // every node's rows stay ascending and histogram accumulation order is a
-// deterministic function of the split structure alone.
+// deterministic function of the split structure alone. On return
+// rowWeight holds, for every row in rows, the weight of its leaf.
 func (hb *histBuilder) build(rows, cols []int, grad, hess []float64) tree {
 	w := &flatWriter{}
 	hb.splitBin = hb.splitBin[:0]
@@ -263,23 +309,28 @@ func (hb *histBuilder) build(rows, cols []int, grad, hess []float64) tree {
 	return tree{nodes: w.nodes}
 }
 
-// leaf emits a leaf keeping splitBin aligned with the writer's node array.
-func (hb *histBuilder) leaf(w *flatWriter, gSum, hSum float64) int32 {
-	idx := w.leaf(-gSum / (hSum + hb.p.Lambda) * hb.p.LearningRate)
+// leaf emits a leaf keeping splitBin aligned with the writer's node array,
+// and records its weight for the rows that reach it.
+func (hb *histBuilder) leaf(w *flatWriter, rows []int32, gSum, hSum float64) int32 {
+	weight := -gSum / (hSum + hb.p.Lambda) * hb.p.LearningRate
+	for _, i := range rows {
+		hb.rowWeight[i] = weight
+	}
 	hb.splitBin = append(hb.splitBin, 0)
-	return idx
+	return w.leaf(weight)
 }
 
 // grow emits the subtree over rows (whose histogram is hist, owned by the
-// caller) and returns its pre-order node index.
-func (hb *histBuilder) grow(w *flatWriter, rows []int32, cols []int, hist []float64, grad, hess []float64, depth int) int32 {
+// caller; nil when the node is at MaxDepth and reads none) and returns its
+// pre-order node index.
+func (hb *histBuilder) grow(w *flatWriter, rows []int32, cols []int, hist *histBuf, grad, hess []float64, depth int) int32 {
 	var gSum, hSum float64
 	for _, i := range rows {
 		gSum += grad[i]
 		hSum += hess[i]
 	}
 	if depth >= hb.p.MaxDepth || len(rows) < 2 {
-		return hb.leaf(w, gSum, hSum)
+		return hb.leaf(w, rows, gSum, hSum)
 	}
 
 	parentScore := gSum * gSum / (hSum + hb.p.Lambda)
@@ -300,7 +351,7 @@ func (hb *histBuilder) grow(w *flatWriter, rows []int32, cols []int, hist []floa
 		hb.splitNS += int64(time.Since(t0))
 	}
 	if bestFeat < 0 {
-		return hb.leaf(w, gSum, hSum)
+		return hb.leaf(w, rows, gSum, hSum)
 	}
 	thresh, splitBin := hb.threshold(hist, bestFeat, bestBin)
 
@@ -319,7 +370,7 @@ func (hb *histBuilder) grow(w *flatWriter, rows []int32, cols []int, hist []floa
 		}
 	}
 	if nl == 0 || nl == len(rows) {
-		return hb.leaf(w, gSum, hSum)
+		return hb.leaf(w, rows, gSum, hSum)
 	}
 	copy(rows[nl:], sc)
 	left, right := rows[:nl], rows[nl:]
@@ -327,24 +378,30 @@ func (hb *histBuilder) grow(w *flatWriter, rows []int32, cols []int, hist []floa
 	// Subtraction trick: scan only the smaller child; the larger child's
 	// histogram is parent − smaller, computed in place into the parent's
 	// buffer (the parent histogram is dead once its children exist).
-	small := left
-	if len(right) < len(left) {
-		small = right
-	}
-	smallHist := hb.getHist()
-	hb.buildHist(small, cols, smallHist, grad, hess)
-	hb.subtract(hist, smallHist, cols)
-
-	leftHist, rightHist := smallHist, hist
-	if len(right) < len(left) {
-		leftHist, rightHist = hist, smallHist
+	// Children at MaxDepth are leaves and read no histogram, so a node one
+	// level above it builds none.
+	var leftHist, rightHist, smallHist *histBuf
+	if depth+1 < hb.p.MaxDepth {
+		small := left
+		if len(right) < len(left) {
+			small = right
+		}
+		smallHist = hb.getHist()
+		hb.buildHist(small, cols, smallHist, grad, hess)
+		hb.subtract(hist, smallHist, cols)
+		leftHist, rightHist = smallHist, hist
+		if len(right) < len(left) {
+			leftHist, rightHist = hist, smallHist
+		}
 	}
 
 	idx := w.reserve()
 	hb.splitBin = append(hb.splitBin, uint8(splitBin))
 	leftIdx := hb.grow(w, left, cols, leftHist, grad, hess, depth+1)
 	rightIdx := hb.grow(w, right, cols, rightHist, grad, hess, depth+1)
-	hb.putHist(smallHist)
+	if smallHist != nil {
+		hb.putHist(smallHist)
+	}
 	w.nodes[idx] = node{
 		feature:   int32(bestFeat),
 		threshold: thresh,
@@ -360,10 +417,15 @@ func (hb *histBuilder) grow(w *flatWriter, rows []int32, cols []int, hist []floa
 //
 // The split bin m is located the way the exact presorted search would
 // place its cut: the node's neighbouring values are bracketed by the
-// occupied ranges of bin (its last non-empty left bin — empty bins never
-// win the scan) and of the first non-empty bin to its right, and m is the
-// last bin whose occupied range lies at or below the midpoint of that
-// gap. The stored raw threshold is then Cuts[f][m] — the global bin edge
+// occupied ranges of bin and of the first bin to its right holding node
+// rows, and m is the last bin whose occupied range lies at or below the
+// midpoint of that gap. bin itself normally holds node rows too, but not
+// always: a derived histogram can leave a rounding residue (h == 0,
+// g ≠ 0) in a bin the node has no rows in, and such a bin can win the
+// scan by rounding. It partitions the node's rows exactly as the
+// preceding occupied bin would, so only the stored threshold — where
+// values the node's rows never held fall — can differ from that bin's.
+// The stored raw threshold is then Cuts[f][m] — the global bin edge
 // separating m from m+1 — which is the one value in the gap making
 // raw-space and code-space traversal provably identical for EVERY input,
 // not just training rows: code(v) <= m ⇔ v <= Cuts[f][m] is the binned
@@ -379,10 +441,10 @@ func (hb *histBuilder) grow(w *flatWriter, rows []int32, cols []int, hist []floa
 // midpoint. When every bin holds one distinct value the gap collapses and
 // the edge IS the exact search's midpoint, preserving bit-identity with
 // the exact path on narrow data.
-func (hb *histBuilder) threshold(hist []float64, f, bin int) (float64, int) {
-	off := 2 * hb.offsets[f]
+func (hb *histBuilder) threshold(hist *histBuf, f, bin int) (float64, int) {
+	gh := hist.gh[2*hb.offsets[f]:]
 	right := bin + 1
-	for hist[off+2*right+1] == 0 { // hessians are integer sums: exact zeros
+	for gh[2*right+1] == 0 { // hessians are integer sums: exact zeros
 		right++
 	}
 	lo, hi := hb.los[f], hb.his[f]
@@ -404,24 +466,26 @@ func (hb *histBuilder) threshold(hist []float64, f, bin int) (float64, int) {
 }
 
 // buildHist accumulates the (gradient, hessian) histogram of rows for the
-// given columns. Each feature's region is zeroed and filled independently
-// — regions are disjoint, so the feature fan-out is race-free and the
-// per-feature accumulation order (ascending row position) is identical
-// serial or parallel.
-func (hb *histBuilder) buildHist(rows []int32, cols []int, hist []float64, grad, hess []float64) {
+// given columns into h, which must come clean from getHist, and sets the
+// occupancy bit of every bin it adds to. Feature regions and mask words
+// are disjoint, so the feature fan-out is race-free and the per-feature
+// accumulation order (ascending row position) is identical serial or
+// parallel.
+func (hb *histBuilder) buildHist(rows []int32, cols []int, h *histBuf, grad, hess []float64) {
 	fill := func(ci int) {
 		f := cols[ci]
 		off := 2 * hb.offsets[f]
-		region := hist[off : off+2*hb.nbins[f]]
-		for b := range region {
-			region[b] = 0
-		}
+		region := h.gh[off : off+2*hb.nbins[f]]
+		var occ [occWords]uint64
 		code := hb.codes[f]
 		for _, i := range rows {
-			k := 2 * int(code[i])
+			c := code[i]
+			k := 2 * int(c)
 			region[k] += grad[i]
 			region[k+1] += hess[i]
+			occ[c>>6] |= 1 << (c & 63)
 		}
+		copy(h.occ[occWords*f:], occ[:])
 	}
 	// The fan-out only pays off when the node is large; small nodes run
 	// serially. Either way each feature is accumulated identically.
@@ -435,15 +499,29 @@ func (hb *histBuilder) buildHist(rows []int32, cols []int, hist []float64, grad,
 }
 
 // subtract computes parent−small in place into parent for the given
-// columns' regions. Hessian entries are sums of ones, hence exact
-// integers, so the derived child's row counts are exact too.
-func (hb *histBuilder) subtract(parent, small []float64, cols []int) {
+// columns, so parent becomes the larger child's histogram and keeps its
+// mask. Bins clear in small's mask are zero there and need no work. A bin
+// that subtracts to exactly (0, 0) is reset to +0 and its bit cleared:
+// hessian entries are sums of ones, hence exact integers, so h == 0 means
+// the derived child has no rows in the bin. A rounding residue g ≠ 0 with
+// h == 0 keeps its bit, and the scan sees it exactly as a dense scan would.
+func (hb *histBuilder) subtract(parent, small *histBuf, cols []int) {
 	for _, f := range cols {
 		off := 2 * hb.offsets[f]
 		end := off + 2*hb.nbins[f]
-		p, s := parent[off:end], small[off:end]
-		for b := range p {
-			p[b] -= s[b]
+		p, s := parent.gh[off:end], small.gh[off:end]
+		pocc := parent.occ[occWords*f : occWords*(f+1)]
+		for w, word := range small.occ[occWords*f : occWords*(f+1)] {
+			for ; word != 0; word &= word - 1 {
+				b := w<<6 | bits.TrailingZeros64(word)
+				k := 2 * b
+				p[k] -= s[k]
+				p[k+1] -= s[k+1]
+				if p[k] == 0 && p[k+1] == 0 {
+					p[k], p[k+1] = 0, 0
+					pocc[w] &^= 1 << uint(b&63)
+				}
+			}
 		}
 	}
 }
@@ -458,25 +536,41 @@ type histSplit struct {
 // scanBins sweeps one feature's bins left to right, accumulating the
 // left-child sums, and returns the maximal-gain boundary (earliest bin on
 // equal gain, strictly-greater updates — mirroring the exact path's rule).
-func (hb *histBuilder) scanBins(hist []float64, f int, gSum, hSum, parentScore float64) histSplit {
+//
+// Only occupied bins are visited. That is exact: a clear bin holds
+// (0, 0), leaves gl and hl unchanged, and so has its predecessor's gain,
+// which can never win under the strictly-greater rule. Hessians are
+// non-negative, so hr never increases along the sweep, and once it falls
+// below MinChildWeight no later boundary qualifies.
+func (hb *histBuilder) scanBins(hist *histBuf, f int, gSum, hSum, parentScore float64) histSplit {
 	lambda, gamma, minChild := hb.p.Lambda, hb.p.Gamma, hb.p.MinChildWeight
 	off := 2 * hb.offsets[f]
-	nb := hb.nbins[f]
+	last := hb.nbins[f] - 1 // the last bin is no boundary: nothing lies right of it
+	gh := hist.gh[off : off+2*hb.nbins[f]]
 	var c histSplit
 	var gl, hl float64
-	for b := 0; b < nb-1; b++ {
-		gl += hist[off+2*b]
-		hl += hist[off+2*b+1]
-		gr := gSum - gl
-		hr := hSum - hl
-		if hl < minChild || hr < minChild {
-			continue
-		}
-		gain := 0.5*(gl*gl/(hl+lambda)+gr*gr/(hr+lambda)-parentScore) - gamma
-		if gain > c.gain {
-			c.gain = gain
-			c.bin = b
-			c.ok = true
+	for w, word := range hist.occ[occWords*f : occWords*(f+1)] {
+		for ; word != 0; word &= word - 1 {
+			b := w<<6 | bits.TrailingZeros64(word)
+			if b >= last {
+				return c
+			}
+			gl += gh[2*b]
+			hl += gh[2*b+1]
+			hr := hSum - hl
+			if hr < minChild {
+				return c
+			}
+			if hl < minChild {
+				continue
+			}
+			gr := gSum - gl
+			gain := 0.5*(gl*gl/(hl+lambda)+gr*gr/(hr+lambda)-parentScore) - gamma
+			if gain > c.gain {
+				c.gain = gain
+				c.bin = b
+				c.ok = true
+			}
 		}
 	}
 	return c
