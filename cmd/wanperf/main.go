@@ -694,10 +694,14 @@ func cmdChaos(c cmdContext) error {
 // loads.
 func cmdRegistry(c cmdContext) error {
 	fmt.Fprintf(os.Stderr, "training registry: %d edge models + global...\n", len(c.edges))
+	sp := c.o.Child("serve.build")
 	reg, err := serve.Build(c.ctx, c.pl, c.edges)
+	sp.End()
 	if err != nil {
 		return err
 	}
+	sp = c.o.Child("serve.registry_write")
+	defer sp.End()
 	return withOutput(c.opts.out, func(w io.Writer) error {
 		return serve.WriteRegistry(w, reg)
 	})

@@ -2,11 +2,11 @@ package gbt
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"math/rand"
 	"testing"
 
+	"repro/internal/jsonwire"
 	"repro/internal/ml/dataset"
 )
 
@@ -78,25 +78,37 @@ func TestPredictBatchValidation(t *testing.T) {
 	}
 }
 
-// TestModelJSONRoundTrip: MarshalJSON/UnmarshalJSON carry the same
-// payload as Save/Load and reproduce predictions exactly, so models can
-// embed in larger documents (the serve registry).
+// TestModelJSONRoundTrip: EncodeJSON/DecodeJSON, the embedding API the
+// serve registry uses, carry the same payload as Save/Load and reproduce
+// predictions exactly, with the decoder stopping right after the model
+// so the enclosing document can continue.
 func TestModelJSONRoundTrip(t *testing.T) {
 	m, d := trainBatchModel(t, 300)
-	blob, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
+	var e jsonwire.Encoder
+	e.Raw("[")
+	m.EncodeJSON(&e)
+	e.Raw(",7]")
+	if e.Err() != nil {
+		t.Fatal(e.Err())
 	}
 	// Same payload as Save.
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if string(blob)+"\n" != buf.String() {
-		t.Error("MarshalJSON and Save disagree")
+	if "["+buf.String() != string(e.B[:len(e.B)-3])+"\n" {
+		t.Error("EncodeJSON and Save disagree")
 	}
-	var back Model
-	if err := json.Unmarshal(blob, &back); err != nil {
+	dec := jsonwire.NewDecoder(e.B)
+	var back *Model
+	for more := dec.Begin('['); more; more = dec.Next(']') {
+		if back == nil {
+			back = DecodeJSON(dec)
+		} else if v := dec.Int(); v != 7 {
+			t.Errorf("value after the model read as %d, want 7", v)
+		}
+	}
+	if err := dec.End(); err != nil {
 		t.Fatal(err)
 	}
 	for _, x := range d.X[:20] {
@@ -114,11 +126,11 @@ func TestModelJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestModelUnmarshalRejectsBad: UnmarshalJSON applies Load's structural
-// validation — crafted payloads error instead of building a model that
-// could loop or index out of range.
+// TestModelUnmarshalRejectsBad: DecodeJSON applies Load's structural
+// validation — crafted payloads record an error instead of building a
+// model that could loop or index out of range.
 func TestModelUnmarshalRejectsBad(t *testing.T) {
-	if err := json.Unmarshal([]byte(`{`), &Model{}); err == nil {
+	if m := DecodeJSON(jsonwire.NewDecoder([]byte(`{`))); m != nil {
 		t.Error("truncated JSON accepted")
 	}
 	cases := []string{
@@ -128,9 +140,9 @@ func TestModelUnmarshalRejectsBad(t *testing.T) {
 		`{"version":1,"base":0,"names":["a"],"trees":[[{"f":0,"t":0,"l":0,"r":0}]]}`,
 	}
 	for _, c := range cases {
-		var m Model
-		if err := json.Unmarshal([]byte(c), &m); !errors.Is(err, ErrBadModel) {
-			t.Errorf("payload %.60s: got %v, want ErrBadModel", c, err)
+		dec := jsonwire.NewDecoder([]byte(c))
+		if m := DecodeJSON(dec); m != nil || !errors.Is(dec.Err(), ErrBadModel) {
+			t.Errorf("payload %.60s: got %v, want ErrBadModel", c, dec.Err())
 		}
 	}
 }

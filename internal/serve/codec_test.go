@@ -7,6 +7,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/jsonwire"
 )
 
 // codecOracle runs the encoding/json reference path (ParseRequest +
@@ -145,7 +147,7 @@ func TestResponseEncoderDifferential(t *testing.T) {
 	}
 	labels := []string{
 		"global", "edge:S1->D1", "edge:a->b->c", `q"uote`, `back\slash`,
-		"html<&>", "tab\tnl\n", "µ-edge", "\u2028sep\u2029", string([]byte{0xff, 'x'}),
+		"html<&>", "tab\tnl\n", "bs\bff\f\x01", "µ-edge", "\u2028sep\u2029", string([]byte{0xff, 'x'}),
 	}
 	gens := []int64{0, 1, 42, 1 << 40}
 	queues := []float64{0, 0.021, 1.5, 3e-7, 2e21}
@@ -159,7 +161,7 @@ func TestResponseEncoderDifferential(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			jlabel := appendJSONString(nil, label)
+			jlabel := jsonwire.AppendString(nil, label)
 			got := appendPredictResponse(nil, rate, jlabel, gen, q)
 			if !bytes.Equal(got, ref.Bytes()) {
 				t.Errorf("encoding mismatch for rate=%v label=%q gen=%d q=%v:\n fast %q\n json %q",
@@ -190,7 +192,7 @@ func TestAppendJSONFloatSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := appendJSONFloat(nil, f); !bytes.Equal(got, ref) {
+		if got := jsonwire.AppendFloat(nil, f); !bytes.Equal(got, ref) {
 			t.Fatalf("float encoding mismatch for %x: fast %q json %q", math.Float64bits(f), got, ref)
 		}
 		checked++

@@ -26,13 +26,15 @@
 package serve
 
 import (
-	"encoding/json"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"sort"
 
+	"repro/internal/jsonwire"
 	"repro/internal/ml/gbt"
 )
 
@@ -107,52 +109,156 @@ type edgeEntry struct {
 	isGlobal bool
 }
 
-// registryFile is the on-disk form. gbt.Model marshals through the same
-// validated payload gbt.Save/Load use, so every structural guarantee of
-// the model format (forward child indices, in-range features) holds for
-// registry-embedded models too.
-type registryFile struct {
-	Version   int                   `json:"version"`
-	Features  []string              `json:"features"`
-	Tolerance float64               `json:"tolerance,omitempty"`
-	Global    *gbt.Model            `json:"global"`
-	Edges     map[string]*gbt.Model `json:"edges,omitempty"`
-	Probes    []Probe               `json:"probes,omitempty"`
-}
+// The on-disk form is one JSON object:
+//
+//	{"version":2,"features":[...],"tolerance":T,"global":MODEL,
+//	 "edges":{"SRC->DST":MODEL,...},"probes":[{"edge":E,"x":[...],"want":W},...]}
+//
+// with tolerance, edges and probe edge omitted when empty, edge keys in
+// sorted order, and each MODEL the payload gbt.Save writes — so every
+// structural guarantee of the model format (forward child indices,
+// in-range features) holds for registry-embedded models too. The codec
+// is hand-written over jsonwire, one pass each way, and writes exactly
+// the bytes encoding/json wrote; the tests keep encoding/json as their
+// oracle. The reader accepts whatever encoding/json accepted, except
+// that duplicate keys, keys outside the schema (case variants included)
+// and bytes after the top-level value fail closed.
 
-// WriteRegistry writes the registry in the versioned file format.
+// registryKeys and probeKeys are the members a registry and a probe may
+// carry, in wire order.
+var (
+	registryKeys = []string{"version", "features", "tolerance", "global", "edges", "probes"}
+	probeKeys    = []string{"edge", "x", "want"}
+)
+
+// WriteRegistry writes the registry in the versioned file format, in one
+// Write.
 func WriteRegistry(w io.Writer, r *Registry) error {
 	if err := r.init(); err != nil {
 		return err
 	}
-	return json.NewEncoder(w).Encode(&registryFile{
-		Version:   registryVersion,
-		Features:  r.Features,
-		Tolerance: r.Tolerance,
-		Global:    r.Global,
-		Edges:     r.Edges,
-		Probes:    r.Probes,
-	})
+	var e jsonwire.Encoder
+	e.Raw(`{"version":`)
+	e.Int(registryVersion)
+	e.Raw(`,"features":`)
+	e.Strings(r.Features)
+	e.OmitZero(`,"tolerance":`, r.Tolerance)
+	e.Raw(`,"global":`)
+	r.Global.EncodeJSON(&e)
+	if len(r.Edges) > 0 {
+		keys := make([]string, 0, len(r.Edges))
+		for k := range r.Edges {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		e.Raw(`,"edges":{`)
+		for i, k := range keys {
+			if i > 0 {
+				e.Raw(",")
+			}
+			e.String(k)
+			e.Raw(":")
+			r.Edges[k].EncodeJSON(&e)
+		}
+		e.Raw("}")
+	}
+	if len(r.Probes) > 0 {
+		e.Raw(`,"probes":[`)
+		for i, p := range r.Probes {
+			if i > 0 {
+				e.Raw(",")
+			}
+			e.Raw("{")
+			if p.Edge != "" {
+				e.Raw(`"edge":`)
+				e.String(p.Edge)
+				e.Raw(",")
+			}
+			e.Raw(`"x":`)
+			e.Floats(p.X)
+			e.Raw(`,"want":`)
+			e.Float(p.Want)
+			e.Raw("}")
+		}
+		e.Raw("]")
+	}
+	e.Raw("}")
+	return e.WriteLine(w)
 }
 
 // ReadRegistry parses and fully validates a registry: structure, feature
 // layouts, and every sanity probe. It never returns a registry that is
 // unsafe to promote.
 func ReadRegistry(rd io.Reader) (*Registry, error) {
-	var f registryFile
-	dec := json.NewDecoder(rd)
-	if err := dec.Decode(&f); err != nil {
+	data, err := io.ReadAll(rd)
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRegistry, err)
 	}
-	if f.Version != registryVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadRegistry, f.Version)
+	return decodeRegistry(data)
+}
+
+// LoadRegistryFile reads and validates the registry at path.
+func LoadRegistryFile(path string) (*Registry, error) {
+	r, _, err := loadRegistryFile(path)
+	return r, err
+}
+
+// loadRegistryFile reads and validates the registry at path, and also
+// returns the stamp of the file it opened, taken from the open handle
+// before reading: the stamp describes the bytes decoded even if a new
+// file is renamed over path meanwhile. A file that cannot be opened
+// has the zero stamp.
+func loadRegistryFile(path string) (*Registry, registryStamp, error) {
+	file, err := os.Open(path)
+	if err != nil {
+		return nil, registryStamp{}, err
 	}
-	r := &Registry{
-		Features:  f.Features,
-		Global:    f.Global,
-		Edges:     f.Edges,
-		Probes:    f.Probes,
-		Tolerance: f.Tolerance,
+	defer file.Close()
+	fi, err := file.Stat()
+	if err != nil {
+		return nil, registryStamp{}, err
+	}
+	stamp := registryStamp{mtime: fi.ModTime(), size: fi.Size()}
+	buf := bytes.NewBuffer(make([]byte, 0, fi.Size()+bytes.MinRead))
+	if _, err := buf.ReadFrom(file); err != nil {
+		return nil, stamp, fmt.Errorf("registry %s: %w", path, err)
+	}
+	r, err := decodeRegistry(buf.Bytes())
+	if err != nil {
+		return nil, stamp, fmt.Errorf("registry %s: %w", path, err)
+	}
+	return r, stamp, nil
+}
+
+// decodeRegistry decodes data in one pass and validates the result.
+func decodeRegistry(data []byte) (*Registry, error) {
+	d := jsonwire.NewDecoder(data)
+	r := &Registry{}
+	version := 0
+	if !d.Null() {
+		var seen uint32
+		for more := d.Begin('{'); more; more = d.Next('}') {
+			switch d.Member(registryKeys, &seen) {
+			case 0:
+				version = d.Int()
+			case 1:
+				r.Features = d.Strings()
+			case 2:
+				r.Tolerance = d.Float()
+			case 3:
+				r.Global = decodeModel(d)
+			case 4:
+				r.Edges = decodeEdges(d)
+			case 5:
+				r.Probes = decodeProbes(d)
+			}
+		}
+	}
+	if err := d.End(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadRegistry, err)
+	}
+	if version != registryVersion {
+		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadRegistry, version)
 	}
 	if err := r.init(); err != nil {
 		return nil, err
@@ -163,18 +269,54 @@ func ReadRegistry(rd io.Reader) (*Registry, error) {
 	return r, nil
 }
 
-// LoadRegistryFile reads and validates the registry at path.
-func LoadRegistryFile(path string) (*Registry, error) {
-	file, err := os.Open(path)
-	if err != nil {
-		return nil, err
+// decodeModel reads an embedded model; null is a missing model, which
+// init rejects.
+func decodeModel(d *jsonwire.Decoder) *gbt.Model {
+	if d.Null() {
+		return nil
 	}
-	defer file.Close()
-	r, err := ReadRegistry(file)
-	if err != nil {
-		return nil, fmt.Errorf("registry %s: %w", path, err)
+	return gbt.DecodeJSON(d)
+}
+
+func decodeEdges(d *jsonwire.Decoder) map[string]*gbt.Model {
+	if d.Null() {
+		return nil
 	}
-	return r, nil
+	edges := map[string]*gbt.Model{}
+	for more := d.Begin('{'); more; more = d.Next('}') {
+		key := string(d.Key())
+		if _, dup := edges[key]; dup {
+			d.Fail(fmt.Errorf("duplicate edge %q", key))
+			break
+		}
+		edges[key] = decodeModel(d)
+	}
+	return edges
+}
+
+func decodeProbes(d *jsonwire.Decoder) []Probe {
+	if d.Null() {
+		return nil
+	}
+	probes := []Probe{}
+	for more := d.Begin('['); more; more = d.Next(']') {
+		var p Probe
+		if !d.Null() {
+			var seen uint32
+			for more := d.Begin('{'); more; more = d.Next('}') {
+				switch d.Member(probeKeys, &seen) {
+				case 0:
+					p.Edge = d.String()
+				case 1:
+					p.X = d.Floats()
+				case 2:
+					p.Want = d.Float()
+				}
+			}
+		}
+		probes = append(probes, p)
+	}
+	return probes
 }
 
 // init checks the registry's structure and builds the feature index.
@@ -201,7 +343,7 @@ func (r *Registry) init() error {
 	if err := r.checkModel("global", r.Global); err != nil {
 		return err
 	}
-	r.global = &edgeEntry{m: r.Global, label: "global", jlabel: appendJSONString(nil, "global"), isGlobal: true}
+	r.global = &edgeEntry{m: r.Global, label: "global", jlabel: jsonwire.AppendString(nil, "global"), isGlobal: true}
 	r.srcIdx = make(map[string]map[string]*edgeEntry, len(r.Edges))
 	for edge, m := range r.Edges {
 		if err := r.checkModel("edge "+edge, m); err != nil {
@@ -212,7 +354,7 @@ func (r *Registry) init() error {
 			label:  "edge:" + edge,
 			latKey: fmt.Sprintf("serve.latency_ms{edge=%q}", edge),
 		}
-		e.jlabel = appendJSONString(nil, e.label)
+		e.jlabel = jsonwire.AppendString(nil, e.label)
 		// Register the entry under every (src, dst) split of the key, so
 		// the index answers exactly the pairs whose src+"->"+dst
 		// concatenation equals this key — including pathological keys
@@ -333,10 +475,10 @@ func (r *Registry) lookupEntry(src, dst string) *edgeEntry {
 		key := src + "->" + dst
 		if m := r.Edges[key]; m != nil {
 			return &edgeEntry{m: m, src: src, dst: dst, label: "edge:" + key,
-				jlabel: appendJSONString(nil, "edge:"+key),
+				jlabel: jsonwire.AppendString(nil, "edge:"+key),
 				latKey: fmt.Sprintf("serve.latency_ms{edge=%q}", key)}
 		}
-		return &edgeEntry{m: r.Global, label: "global", jlabel: appendJSONString(nil, "global"), isGlobal: true}
+		return &edgeEntry{m: r.Global, label: "global", jlabel: jsonwire.AppendString(nil, "global"), isGlobal: true}
 	}
 	return r.global
 }

@@ -71,6 +71,21 @@ func TestRegistryCorruptionGate(t *testing.T) {
 	}
 }
 
+// readRegistryRejectCases are mutations of a valid registry file's
+// top-level members that must each fail to load.
+func readRegistryRejectCases() map[string]func(map[string]json.RawMessage) {
+	return map[string]func(map[string]json.RawMessage){
+		"bad version":  func(r map[string]json.RawMessage) { r["version"] = json.RawMessage("99") },
+		"no global":    func(r map[string]json.RawMessage) { delete(r, "global") },
+		"no features":  func(r map[string]json.RawMessage) { r["features"] = json.RawMessage("[]") },
+		"dup features": func(r map[string]json.RawMessage) { r["features"] = json.RawMessage(`["a","a","c"]`) },
+		"no probes":    func(r map[string]json.RawMessage) { r["probes"] = json.RawMessage("[]") },
+		"unknown probe edge": func(r map[string]json.RawMessage) {
+			r["probes"] = json.RawMessage(`[{"edge":"NO->PE","x":[0,0,0],"want":1}]`)
+		},
+	}
+}
+
 func TestReadRegistryRejects(t *testing.T) {
 	good := func() map[string]json.RawMessage {
 		var buf bytes.Buffer
@@ -84,17 +99,7 @@ func TestReadRegistryRejects(t *testing.T) {
 		return raw
 	}
 
-	cases := map[string]func(map[string]json.RawMessage){
-		"bad version":  func(r map[string]json.RawMessage) { r["version"] = json.RawMessage("99") },
-		"no global":    func(r map[string]json.RawMessage) { delete(r, "global") },
-		"no features":  func(r map[string]json.RawMessage) { r["features"] = json.RawMessage("[]") },
-		"dup features": func(r map[string]json.RawMessage) { r["features"] = json.RawMessage(`["a","a","c"]`) },
-		"no probes":    func(r map[string]json.RawMessage) { r["probes"] = json.RawMessage("[]") },
-		"unknown probe edge": func(r map[string]json.RawMessage) {
-			r["probes"] = json.RawMessage(`[{"edge":"NO->PE","x":[0,0,0],"want":1}]`)
-		},
-	}
-	for name, mutate := range cases {
+	for name, mutate := range readRegistryRejectCases() {
 		raw := good()
 		mutate(raw)
 		data, err := json.Marshal(raw)

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -127,6 +128,20 @@ func TestReloadCorruptKeepsServing(t *testing.T) {
 	if got := s.Generation(); got != 2 {
 		t.Errorf("generation after recovery: %d, want 2", got)
 	}
+
+	// Boot, the rejected reload and the promotion are all timed, and the
+	// size gauge reports the file last read.
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for _, want := range []string{"serve_reload_ms_count 3", fmt.Sprintf("serve_registry_bytes %d", fi.Size())} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
 }
 
 // TestWatcherReloads: the file watcher notices a changed registry file
@@ -149,5 +164,52 @@ func TestWatcherReloads(t *testing.T) {
 			t.Fatal("watcher never promoted the new registry")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestReloadStampRace: registry promotions land while reloads are in
+// flight. Each load must record the stamp of the file it actually read,
+// so after the last promotion the watcher converges on the last file
+// written — even when a Reload opened the previous file just before the
+// last one was renamed over it. Run under -race.
+func TestReloadStampRace(t *testing.T) {
+	s, path := newTestServer(t, 1, func(c *Config) { c.WatchInterval = time.Millisecond })
+	s.Start()
+	defer s.Drain()
+
+	regs := []*Registry{testRegistry(t, 2), testRegistry(t, 3), testRegistry(t, 4)}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_ = s.Reload()
+			}
+		}
+	}()
+	const promotions = 100
+	for i := 0; i < promotions; i++ {
+		writeRegistryFile(t, path, regs[i%len(regs)])
+	}
+	close(stop)
+	wg.Wait()
+
+	last := regs[(promotions-1)%len(regs)]
+	x := []float64{0.3, 0.6, 0.9}
+	want, _ := last.Global.Predict(x)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if got, _ := s.Registry().Global.Predict(x); got == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("watcher never converged on the last registry written")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

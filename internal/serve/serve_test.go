@@ -84,13 +84,9 @@ func testRegistry(t testing.TB, scale float64) *Registry {
 
 func writeRegistryFile(t testing.TB, path string, reg *Registry) {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := WriteRegistry(&buf, reg); err != nil {
-		t.Fatal(err)
-	}
 	// Atomic-rename write, like a production trainer would.
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(tmp, registryBytes(t, reg), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Rename(tmp, path); err != nil {

@@ -122,8 +122,9 @@ type Server struct {
 	mBatches, mBatchRequests              *obs.Counter
 	mRowsCode, mRowsFloat                 *obs.Counter
 	mGeneration, mQueueDepth              *obs.Gauge
+	mRegistryBytes                        *obs.Gauge
 	mBatchSize, mQueueWait, mLatency      *obs.Histogram
-	mBatchRows                            *obs.Histogram
+	mBatchRows, mReloadMS                 *obs.Histogram
 	latBuckets                            []float64
 }
 
@@ -173,15 +174,18 @@ func New(cfg Config) (*Server, error) {
 	s.mQueueWait = reg.Histogram("serve.queue_wait_ms", obs.ExpBuckets(0.05, 2, 16))
 	s.mLatency = reg.Histogram("serve.latency_ms", obs.ExpBuckets(0.05, 2, 16))
 	s.latBuckets = obs.ExpBuckets(0.05, 2, 16)
+	// Load time and file size of the boot load and of every reload,
+	// promoted or rejected: what one registry promotion costs.
+	s.mReloadMS = reg.Histogram("serve.reload_ms", obs.ExpBuckets(1, 2, 14))
+	s.mRegistryBytes = reg.Gauge("serve.registry_bytes")
 
-	boot, err := LoadRegistryFile(cfg.RegistryPath)
+	boot, err := s.load()
 	if err != nil {
 		return nil, err
 	}
 	boot.Generation = s.gen.Add(1)
 	s.reg.Store(boot)
 	s.mGeneration.Set(float64(boot.Generation))
-	s.noteStamp()
 
 	s.mux = http.NewServeMux()
 	predict := &door{requests: s.mRequests, shedFamily: "serve.shed",
@@ -275,8 +279,7 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) Reload() error {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	next, err := LoadRegistryFile(s.cfg.RegistryPath)
-	s.noteStamp()
+	next, err := s.load()
 	if err != nil {
 		s.mReloadFailures.Inc()
 		s.cfg.Logf("serve: reload rejected, keeping generation %d: %v", s.Generation(), err)
@@ -290,15 +293,19 @@ func (s *Server) Reload() error {
 	return nil
 }
 
-// noteStamp records the registry file's current mtime/size so the watcher
-// does not re-attempt a file state that was already loaded or rejected.
-// Callers hold reloadMu (or are still constructing the server).
-func (s *Server) noteStamp() {
-	if fi, err := os.Stat(s.cfg.RegistryPath); err == nil {
-		s.lastStamp = registryStamp{mtime: fi.ModTime(), size: fi.Size()}
-	} else {
-		s.lastStamp = registryStamp{}
-	}
+// load reads and validates the registry file, recording the stamp of
+// the file it actually read — so the watcher neither re-attempts a file
+// state that was already loaded or rejected, nor mistakes a file renamed
+// into place mid-load for one already loaded — and the load's time and
+// file size. Callers hold reloadMu (or are still constructing the
+// server).
+func (s *Server) load() (*Registry, error) {
+	t0 := time.Now()
+	reg, stamp, err := loadRegistryFile(s.cfg.RegistryPath)
+	s.mReloadMS.Observe(float64(time.Since(t0)) / float64(time.Millisecond))
+	s.mRegistryBytes.Set(float64(stamp.size))
+	s.lastStamp = stamp
+	return reg, err
 }
 
 // watchLoop polls the registry file and reloads when it changes — the

@@ -33,7 +33,7 @@ if [ -z "$label" ]; then
     fi
 fi
 
-pattern="${BENCH_PATTERN:-GBTTrain|GBTTrainHist|Fig11Headline|Fig11HeadlineHist|FeatureEngineering|LinregFit|SimulateSmall|Predict\$|PredictAll|MIC|EngineRun}"
+pattern="${BENCH_PATTERN:-GBTTrain|GBTTrainHist|Fig11Headline|Fig11HeadlineHist|FeatureEngineering|LinregFit|SimulateSmall|Predict\$|PredictAll|MIC|EngineRun|RegistryWrite|RegistryLoad}"
 count="${BENCH_COUNT:-5}"
 benchtime="${BENCH_TIME:-1x}"
 shard_count="${BENCH_SHARD_COUNT:-3}"

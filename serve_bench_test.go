@@ -342,3 +342,48 @@ func BenchmarkServePredictBatchMixed(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/row")
 	b.ReportMetric(n/b.Elapsed().Seconds(), "rows/s")
 }
+
+// BenchmarkRegistryWrite measures the writing half of a registry
+// promotion: WriteRegistry encoding the bench registry (one model per
+// study edge plus the global fallback, 256 bins) into a reused buffer.
+// MB/s is file bytes written per second.
+func BenchmarkRegistryWrite(b *testing.B) {
+	path, _ := serveBenchRegistry(b)
+	reg, err := serve.LoadRegistryFile(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := serve.WriteRegistry(&buf, reg); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := serve.WriteRegistry(&buf, reg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRegistryLoad measures the loading half of a registry
+// promotion — what Server.Reload does before its pointer swap: read the
+// bench registry file, decode every model, build the serving forests and
+// run every sanity probe. MB/s is file bytes loaded per second.
+func BenchmarkRegistryLoad(b *testing.B) {
+	path, _ := serveBenchRegistry(b)
+	fi, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(fi.Size())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := serve.LoadRegistryFile(path); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
