@@ -2,7 +2,7 @@ GO ?= go
 
 EXAMPLES := $(wildcard examples/*)
 
-.PHONY: check build vet test race fuzz bench examples coverage serve serve-smoke stream-smoke loadtest
+.PHONY: check build vet test race fuzz bench examples coverage serve serve-smoke stream-smoke
 
 # The full gate: what CI (and a careful human) runs before merging.
 check: build vet test race examples
@@ -64,11 +64,6 @@ serve-smoke:
 # and a drifted window is rejected without moving the served generation.
 stream-smoke:
 	./scripts/stream-smoke.sh
-
-# Concurrent load generation with latency percentiles against a running
-# daemon (start one with `make serve`).
-loadtest:
-	./scripts/loadtest.sh
 
 # Vet and compile every example program. They are plain main packages, so
 # `go build ./...` already type-checks them; this target keeps them honest

@@ -177,11 +177,15 @@ func BenchmarkFig9To12(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		results := []core.EdgeModelResult{res}
-		logOncePerBench(b, "Fig 9:\n"+core.RenderFig9(results)+
+		exp, err := p.ExplainEdge(edges[0])
+		if err != nil {
+			b.Fatal(err)
+		}
+		results, explained := []core.EdgeModelResult{res}, []core.EdgeExplanation{exp}
+		logOncePerBench(b, "Fig 9:\n"+core.RenderFig9(explained)+
 			"Fig 10:\n"+core.RenderFig10(results)+
 			"Fig 11:\n"+core.RenderFig11(results)+
-			"Fig 12:\n"+core.RenderFig12(results))
+			"Fig 12:\n"+core.RenderFig12(explained))
 	}
 }
 
@@ -243,7 +247,7 @@ func BenchmarkFig13(b *testing.B) {
 // reduced scale (120 of the paper's 666 test transfers).
 func BenchmarkLMT(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := core.LMTExperiment(120, 42)
+		res, err := core.LMTExperiment(120, 42, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

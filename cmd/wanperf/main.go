@@ -584,7 +584,7 @@ func cmdFig5(c cmdContext) error {
 }
 
 func cmdFig9(c cmdContext) error {
-	results, err := c.pl.EvaluateEdgesContext(c.ctx, c.edges)
+	results, err := c.pl.ExplainEdgesContext(c.ctx, c.edges)
 	if err != nil {
 		return err
 	}
@@ -593,7 +593,7 @@ func cmdFig9(c cmdContext) error {
 }
 
 func cmdFig12(c cmdContext) error {
-	results, err := c.pl.EvaluateEdgesContext(c.ctx, c.edges)
+	results, err := c.pl.ExplainEdgesContext(c.ctx, c.edges)
 	if err != nil {
 		return err
 	}
@@ -629,7 +629,7 @@ func cmdGlobal(c cmdContext) error {
 }
 
 func cmdLMT(c cmdContext) error {
-	res, err := core.LMTExperiment(666, c.cfg.Seed)
+	res, err := core.LMTExperiment(666, c.cfg.Seed, c.o)
 	if err != nil {
 		return err
 	}
@@ -849,14 +849,18 @@ func runAll(ctx context.Context, pl *core.Pipeline, edges []core.EdgeData, cfg s
 	if err != nil {
 		return err
 	}
+	explained, err := pl.ExplainEdgesContext(ctx, edges)
+	if err != nil {
+		return err
+	}
 	fmt.Println("-- Figure 9 (linear coefficients) --")
-	fmt.Print(core.RenderFig9(results))
+	fmt.Print(core.RenderFig9(explained))
 	fmt.Println("-- Figure 10 (APE distributions) --")
 	fmt.Print(core.RenderFig10(results))
 	fmt.Println("-- Figure 11 (MdAPE per edge) --")
 	fmt.Print(core.RenderFig11(results))
 	fmt.Println("-- Figure 12 (XGB importance) --")
-	fmt.Print(core.RenderFig12(results))
+	fmt.Print(core.RenderFig12(explained))
 
 	section("Single model for all edges (§5.4)")
 	g, err := pl.GlobalModelContext(ctx, edges)
@@ -873,7 +877,7 @@ func runAll(ctx context.Context, pl *core.Pipeline, edges []core.EdgeData, cfg s
 	fmt.Print(core.RenderFig13(f13))
 
 	section("LMT experiment (§5.5.2)")
-	lr, err := core.LMTExperiment(666, cfg.Seed)
+	lr, err := core.LMTExperiment(666, cfg.Seed, pl.Obs)
 	if err != nil {
 		return err
 	}

@@ -46,13 +46,17 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("edge %s: nonlinear model MdAPE %.2f%% on held-out transfers\n", res.Edge, res.XGBMdAPE)
+	exp, err := pl.ExplainEdge(edges[0])
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	type imp struct {
 		name string
 		val  float64
 	}
 	var imps []imp
-	for name, v := range res.XGBImport {
+	for name, v := range exp.XGBImport {
 		imps = append(imps, imp{name, v})
 	}
 	sort.Slice(imps, func(i, j int) bool { return imps[i].val > imps[j].val })
@@ -63,8 +67,8 @@ func main() {
 		}
 		fmt.Printf("  %-8s %5.1f%%  %s\n", e.name, e.val*100, describe(e.name))
 	}
-	if len(res.Eliminated) > 0 {
-		fmt.Printf("eliminated for low variance: %v (edge has habitual settings)\n", res.Eliminated)
+	if len(exp.Eliminated) > 0 {
+		fmt.Printf("eliminated for low variance: %v (edge has habitual settings)\n", exp.Eliminated)
 	}
 	_ = core.LowVarianceMin
 }

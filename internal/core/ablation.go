@@ -62,6 +62,7 @@ func (p *Pipeline) Ablate(edges []EdgeData, maxEdges int) ([]AblationRow, error)
 // concatenated in input order, so the report is identical to the serial
 // study's.
 func (p *Pipeline) AblateContext(ctx context.Context, edges []EdgeData, maxEdges int) ([]AblationRow, error) {
+	defer p.Obs.Child("ablate_edges").End()
 	if maxEdges > 0 && len(edges) > maxEdges {
 		edges = edges[:maxEdges]
 	}

@@ -51,6 +51,28 @@ func TestEvaluateEdgesParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+func TestExplainEdgesParallelMatchesSerial(t *testing.T) {
+	p, edges := smallPipeline(t)
+	n := len(edges)
+	if n > 3 {
+		n = 3
+	}
+	parallel, err := p.ExplainEdges(edges[:n])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		serial, err := p.ExplainEdge(edges[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(parallel[i], serial) {
+			t.Errorf("edge %d: parallel explanation differs from serial:\nparallel: %+v\nserial:   %+v",
+				i, parallel[i], serial)
+		}
+	}
+}
+
 func TestAblateParallelMatchesSerial(t *testing.T) {
 	p, edges := smallPipeline(t)
 	parallel, err := p.Ablate(edges, 2)
@@ -76,16 +98,33 @@ func TestAblateParallelMatchesSerial(t *testing.T) {
 
 func TestEvaluateEdgesCancelledContext(t *testing.T) {
 	p, edges := smallPipeline(t)
+	checkCancelledPromptly(t, "evaluation", func(ctx context.Context) error {
+		_, err := p.EvaluateEdgesContext(ctx, edges)
+		return err
+	})
+}
+
+func TestExplainEdgesCancelledContext(t *testing.T) {
+	p, edges := smallPipeline(t)
+	checkCancelledPromptly(t, "explanation", func(ctx context.Context) error {
+		_, err := p.ExplainEdgesContext(ctx, edges)
+		return err
+	})
+}
+
+// checkCancelledPromptly runs fit under an already-cancelled context and
+// requires context.Canceled, a prompt return and no leaked goroutines.
+func checkCancelledPromptly(t *testing.T, what string, fit func(context.Context) error) {
+	t.Helper()
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err := p.EvaluateEdgesContext(ctx, edges)
-	if !errors.Is(err, context.Canceled) {
+	if err := fit(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 	if d := time.Since(start); d > time.Second {
-		t.Errorf("cancelled evaluation took %v, want a prompt return", d)
+		t.Errorf("cancelled %s took %v, want a prompt return", what, d)
 	}
 	if after := waitForGoroutines(before); after > before+2 {
 		t.Errorf("goroutines leaked: %d before, %d after", before, after)

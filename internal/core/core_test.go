@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -112,11 +113,25 @@ func TestEvaluateEdgeProducesModels(t *testing.T) {
 	if res.LinMdAPE > 60 {
 		t.Errorf("linear MdAPE %.1f%% implausibly high for a study edge", res.LinMdAPE)
 	}
+	if len(res.LinAPEs) == 0 || len(res.XGBAPEs) == 0 {
+		t.Error("test-set errors missing")
+	}
+}
+
+func TestExplainEdgeProducesModels(t *testing.T) {
+	p, edges := smallPipeline(t)
+	res, err := p.ExplainEdge(edges[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Edge != edges[0].Edge.String() {
+		t.Errorf("edge = %s, want %s", res.Edge, edges[0].Edge)
+	}
 	if len(res.LinCoef) == 0 || len(res.XGBImport) == 0 {
 		t.Error("explanation models missing coefficients or importances")
 	}
-	if len(res.LinAPEs) == 0 || len(res.XGBAPEs) == 0 {
-		t.Error("test-set errors missing")
+	if _, ok := res.LinCoef["Nflt"]; !ok && !slices.Contains(res.Eliminated, "Nflt") {
+		t.Error("explanation model neither uses nor eliminates Nflt")
 	}
 }
 
@@ -410,7 +425,7 @@ func TestTable1Rendered(t *testing.T) {
 }
 
 func TestLMTExperimentShape(t *testing.T) {
-	res, err := LMTExperiment(120, 5)
+	res, err := LMTExperiment(120, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,9 +449,13 @@ func TestRenderFeatureMaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	exp, err := p.ExplainEdge(edges[0])
+	if err != nil {
+		t.Fatal(err)
+	}
 	results := []EdgeModelResult{res}
-	f9 := RenderFig9(results)
-	f12 := RenderFig12(results)
+	f9 := RenderFig9([]EdgeExplanation{exp})
+	f12 := RenderFig12([]EdgeExplanation{exp})
 	for _, out := range []string{f9, f12} {
 		if !strings.Contains(out, res.Edge) {
 			t.Error("feature map render missing edge")

@@ -152,6 +152,7 @@ type Fig4Curve struct {
 // count, averages the aggregate incoming rate per bin (weighted by dwell
 // time), and fits the Weibull-shaped curve of Figure 4.
 func (p *Pipeline) Fig4(endpoints []string) ([]Fig4Curve, error) {
+	defer p.Obs.Child("concurrency_curves").End()
 	var out []Fig4Curve
 	for _, ep := range endpoints {
 		series, err := features.ConcurrencySeries(p.Log, ep)

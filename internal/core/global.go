@@ -145,6 +145,7 @@ var Fig13Thresholds = []float64{0.5, 0.6, 0.7, 0.8}
 // 0.8·Rmax). Errors should generally decline as the threshold rises,
 // because high-rate transfers carry less unknown load.
 func (p *Pipeline) Fig13(minSamples, maxEdges int) ([]ThresholdResult, error) {
+	defer p.Obs.Child("threshold_sweep").End()
 	strict := p.SelectEdges(minSamples, Fig13Thresholds[len(Fig13Thresholds)-1], maxEdges)
 	var out []ThresholdResult
 	for _, ed := range strict {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/logs"
 	"repro/internal/ml/dataset"
 	"repro/internal/ml/gbt"
+	"repro/internal/obs"
 	"repro/internal/simulate"
 	"repro/internal/stats"
 )
@@ -32,8 +33,14 @@ type LMTResult struct {
 // LMT-style monitor sampling true storage load every five seconds. A
 // gradient-boosted model is trained twice — without and with the monitor's
 // four features — and compared on held-out transfers.
-func LMTExperiment(tests int, seed int64) (LMTResult, error) {
+//
+// With a non-nil o the run is traced: one "lmt_experiment" span with
+// simulate, features and fit children.
+func LMTExperiment(tests int, seed int64, o *obs.Obs) (LMTResult, error) {
 	var res LMTResult
+	phase := o.Child("lmt_experiment")
+	defer phase.End()
+	sp := phase.Child("simulate")
 	rng := rand.New(rand.NewSource(seed))
 	site, _ := geo.FindSite("NERSC")
 
@@ -114,9 +121,12 @@ func LMTExperiment(tests int, seed int64) (LMTResult, error) {
 	}
 
 	l, err := eng.Run()
+	sp.End()
 	if err != nil {
 		return res, err
 	}
+	sp = phase.Child("features")
+	defer sp.End()
 	vecs := features.Engineer(l)
 
 	// Keep only the test transfers (identified by their exact shape).
@@ -161,8 +171,11 @@ func LMTExperiment(tests int, seed int64) (LMTResult, error) {
 	if err != nil {
 		return res, err
 	}
+	sp.End()
 
-	eval := func(ds *dataset.Dataset) (p95, md float64, err error) {
+	eval := func(name string, ds *dataset.Dataset) (p95, md float64, err error) {
+		sp := phase.Child("fit:" + name)
+		defer sp.End()
 		train, test := ds.Split(TrainFraction, seed+11)
 		xp := gbt.DefaultParams()
 		xp.Seed = seed + 13
@@ -180,10 +193,10 @@ func LMTExperiment(tests int, seed int64) (LMTResult, error) {
 		md, err = stats.MdAPE(test.Y, pred)
 		return p95, md, err
 	}
-	if res.BaselineP95, res.BaselineMdAPE, err = eval(base); err != nil {
+	if res.BaselineP95, res.BaselineMdAPE, err = eval("baseline", base); err != nil {
 		return res, err
 	}
-	if res.WithStorageP95, res.WithStorageMdAPE, err = eval(ext); err != nil {
+	if res.WithStorageP95, res.WithStorageMdAPE, err = eval("storage", ext); err != nil {
 		return res, err
 	}
 	return res, nil

@@ -24,18 +24,23 @@ const TrainFraction = 0.7
 // C and P typically fall to it because each edge has a habitual setting.
 const LowVarianceMin = 1e-9
 
-// EdgeModelResult holds everything the per-edge experiments need: test-set
-// errors for both model families (Figures 10, 11), the linear coefficients
-// on standardized inputs (Figure 9), and the boosted-tree gain importances
-// (Figure 12).
+// EdgeModelResult holds one edge's prediction-model test errors for both
+// model families (Figures 10, 11 and the headline MdAPEs).
 type EdgeModelResult struct {
+	Edge     string
+	Samples  int // qualifying transfers used (train+test)
+	LinMdAPE float64
+	XGBMdAPE float64
+	LinAPEs  []float64 // per-test-transfer absolute percentage errors
+	XGBAPEs  []float64
+}
+
+// EdgeExplanation holds one edge's explanation models: the linear
+// coefficients on standardized inputs (Figure 9) and the boosted-tree
+// gain importances (Figure 12).
+type EdgeExplanation struct {
 	Edge       string
-	Samples    int // qualifying transfers used (train+test)
-	LinMdAPE   float64
-	XGBMdAPE   float64
-	LinAPEs    []float64 // per-test-transfer absolute percentage errors
-	XGBAPEs    []float64
-	LinCoef    map[string]float64 // |β| per feature, explanation model
+	LinCoef    map[string]float64 // |β| per feature
 	XGBImport  map[string]float64 // gain importance per feature
 	Eliminated []string           // features dropped for low variance
 }
@@ -53,21 +58,14 @@ func modelSeed(edge string) int64 {
 	return h%100000 + 7
 }
 
-// EvaluateEdge trains and tests the paper's two model families on one
-// edge's qualifying transfers.
-//
-// Two variants are trained per family: a prediction model on the 15
-// features of Table 2 (faults excluded — they are unknown in advance), whose
-// test errors are reported; and an explanation model that adds Nflt, whose
-// coefficients/importances are reported, matching the paper's use of faults
-// "for explanation but not prediction".
+// EvaluateEdge trains and tests the paper's two prediction models on one
+// edge's qualifying transfers: the 15 features of Table 2, with faults
+// excluded because they are unknown in advance. ExplainEdge fits the
+// explanation models, which add Nflt; the paper uses faults "for
+// explanation but not prediction".
 func (p *Pipeline) EvaluateEdge(ed EdgeData) (EdgeModelResult, error) {
 	res := EdgeModelResult{Edge: ed.Edge.String(), Samples: len(ed.Qualifying)}
-	vecs := p.VectorsAt(ed.Qualifying)
-	seed := modelSeed(res.Edge)
-
-	// ---- Prediction models (no Nflt) ----
-	ds, err := features.Dataset(vecs, false)
+	ds, err := features.Dataset(p.VectorsAt(ed.Qualifying), false)
 	if err != nil {
 		return res, err
 	}
@@ -75,7 +73,7 @@ func (p *Pipeline) EvaluateEdge(ed EdgeData) (EdgeModelResult, error) {
 	if ds.NumFeatures() == 0 {
 		return res, fmt.Errorf("core: edge %s has no informative features", res.Edge)
 	}
-	linAPEs, xgbAPEs, err := p.trainAndTest(ds, seed)
+	linAPEs, xgbAPEs, err := p.trainAndTest(ds, modelSeed(res.Edge))
 	if err != nil {
 		return res, err
 	}
@@ -86,20 +84,26 @@ func (p *Pipeline) EvaluateEdge(ed EdgeData) (EdgeModelResult, error) {
 	if res.XGBMdAPE, err = stats.Median(xgbAPEs); err != nil {
 		return res, err
 	}
+	return res, nil
+}
 
-	// ---- Explanation models (with Nflt) ----
-	dsExp, err := features.Dataset(vecs, true)
+// ExplainEdge fits both model families, with Nflt, on all of one edge's
+// qualifying transfers and returns their coefficients and importances.
+func (p *Pipeline) ExplainEdge(ed EdgeData) (EdgeExplanation, error) {
+	res := EdgeExplanation{Edge: ed.Edge.String()}
+	ds, err := features.Dataset(p.VectorsAt(ed.Qualifying), true)
 	if err != nil {
 		return res, err
 	}
-	dsExp, eliminated := dsExp.DropLowVariance(LowVarianceMin)
-	res.Eliminated = eliminated
-
-	scaler, err := dataset.FitScaler(dsExp)
+	ds, res.Eliminated = ds.DropLowVariance(LowVarianceMin)
+	if ds.NumFeatures() == 0 {
+		return res, fmt.Errorf("core: edge %s has no informative features", res.Edge)
+	}
+	scaler, err := dataset.FitScaler(ds)
 	if err != nil {
 		return res, err
 	}
-	std, err := scaler.Transform(dsExp)
+	std, err := scaler.Transform(ds)
 	if err != nil {
 		return res, err
 	}
@@ -111,7 +115,7 @@ func (p *Pipeline) EvaluateEdge(ed EdgeData) (EdgeModelResult, error) {
 	for j, name := range lin.Names {
 		res.LinCoef[name] = math.Abs(lin.Coefficients[j])
 	}
-	xm, err := gbt.Train(dsExp, p.gbtParams(seed))
+	xm, err := gbt.Train(ds, p.gbtParams(modelSeed(res.Edge)))
 	if err != nil {
 		return res, err
 	}
@@ -187,29 +191,47 @@ func (p *Pipeline) EvaluateEdges(edges []EdgeData) ([]EdgeModelResult, error) {
 	return p.EvaluateEdgesContext(context.Background(), edges)
 }
 
-// EvaluateEdgesContext evaluates every selected edge on a worker pool
-// sized to the available CPUs. Each edge's models are trained
-// independently (per-edge seeds, no shared state), and results are
-// assembled in input order, so the output — and every table rendered from
-// it — is identical to the serial loop's. An already-cancelled context
-// returns promptly with its error and starts no work.
+// EvaluateEdgesContext runs EvaluateEdge over every selected edge on a
+// worker pool (see fitEdges).
 func (p *Pipeline) EvaluateEdgesContext(ctx context.Context, edges []EdgeData) ([]EdgeModelResult, error) {
-	phase := p.Obs.Child("evaluate_edges")
+	return fitEdges(ctx, p, "evaluate_edges", "core.edges_evaluated", edges, p.EvaluateEdge)
+}
+
+// ExplainEdges runs ExplainEdge over every selected edge.
+func (p *Pipeline) ExplainEdges(edges []EdgeData) ([]EdgeExplanation, error) {
+	return p.ExplainEdgesContext(context.Background(), edges)
+}
+
+// ExplainEdgesContext runs ExplainEdge over every selected edge on a
+// worker pool (see fitEdges).
+func (p *Pipeline) ExplainEdgesContext(ctx context.Context, edges []EdgeData) ([]EdgeExplanation, error) {
+	return fitEdges(ctx, p, "explain_edges", "core.edges_explained", edges, p.ExplainEdge)
+}
+
+// fitEdges runs fit over every edge on a worker pool sized to the
+// available CPUs, under a phase span with one "fit:<edge>" child per
+// edge. Each edge's models are trained independently (per-edge seeds, no
+// shared state), and results are assembled in input order, so the output
+// — and every figure rendered from it — is identical to the serial
+// loop's. An already-cancelled context returns promptly with its error
+// and starts no work.
+func fitEdges[R any](ctx context.Context, p *Pipeline, phaseName, counter string, edges []EdgeData, fit func(EdgeData) (R, error)) ([]R, error) {
+	phase := p.Obs.Child(phaseName)
 	defer phase.End()
 	fitMS := p.Obs.Histogram("core.edge_fit_ms", obs.ExpBuckets(4, 2, 14))
-	out := make([]EdgeModelResult, len(edges))
+	out := make([]R, len(edges))
 	err := pool.ForEach(ctx, len(edges), pool.Workers(), func(_ context.Context, i int) error {
 		sp := phase.Child("fit:" + edges[i].Edge.String())
 		start := time.Now()
-		r, err := p.EvaluateEdge(edges[i])
+		r, err := fit(edges[i])
 		if err != nil {
 			sp.End()
 			return fmt.Errorf("edge %s: %w", edges[i].Edge, err)
 		}
-		sp.Annotate("samples", strconv.Itoa(r.Samples))
+		sp.Annotate("samples", strconv.Itoa(len(edges[i].Qualifying)))
 		sp.End()
 		fitMS.Observe(float64(time.Since(start)) / float64(time.Millisecond))
-		p.Obs.Counter("core.edges_evaluated").Inc()
+		p.Obs.Counter(counter).Inc()
 		out[i] = r
 		return nil
 	})

@@ -11,16 +11,16 @@ import (
 // RenderFig9 renders the linear-model coefficient map: one row per edge,
 // each feature's |β| scaled by the edge's maximum (the paper draws circle
 // sizes; we print the scaled value ×100, with "x" for eliminated features).
-func RenderFig9(results []EdgeModelResult) string {
-	return renderFeatureMap(results, func(r EdgeModelResult) map[string]float64 { return r.LinCoef })
+func RenderFig9(results []EdgeExplanation) string {
+	return renderFeatureMap(results, func(r EdgeExplanation) map[string]float64 { return r.LinCoef })
 }
 
 // RenderFig12 renders the boosted-tree importance map in the same layout.
-func RenderFig12(results []EdgeModelResult) string {
-	return renderFeatureMap(results, func(r EdgeModelResult) map[string]float64 { return r.XGBImport })
+func RenderFig12(results []EdgeExplanation) string {
+	return renderFeatureMap(results, func(r EdgeExplanation) map[string]float64 { return r.XGBImport })
 }
 
-func renderFeatureMap(results []EdgeModelResult, get func(EdgeModelResult) map[string]float64) string {
+func renderFeatureMap(results []EdgeExplanation, get func(EdgeExplanation) map[string]float64) string {
 	cols := features.NamesWithFaults
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-28s", "Edge")

@@ -174,6 +174,7 @@ type CorrelationRow struct {
 // Table5 computes CC and MIC for every Table 2 feature on the given edges
 // (the paper shows four example edges).
 func (p *Pipeline) Table5(edges []EdgeData) ([]CorrelationRow, error) {
+	defer p.Obs.Child("correlate_edges").End()
 	var out []CorrelationRow
 	for _, ed := range edges {
 		vecs := p.VectorsAt(ed.Qualifying)

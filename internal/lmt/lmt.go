@@ -72,9 +72,9 @@ func (c *Collector) OnInterval(t0, t1 float64, loads []simulate.EndpointLoad) {
 		first := int(t0 / c.period)
 		last := int(t1 / c.period)
 		if need := last + 1; need > len(bins) {
-			grown := make([]bin, need)
-			copy(grown, bins)
-			bins = grown
+			// Amortized growth: reaching a new bin must not copy all the
+			// earlier ones.
+			bins = append(bins, make([]bin, need-len(bins))...)
 		}
 		for b := first; b <= last; b++ {
 			lo := math.Max(t0, float64(b)*c.period)

@@ -10,11 +10,13 @@ package logs
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -123,11 +125,14 @@ func (l *Log) Append(r Record) { l.Records = append(l.Records, r) }
 // SortByStart orders records by start time (stable on record ID), the order
 // the feature-engineering time-series analysis assumes.
 func (l *Log) SortByStart() {
-	sort.SliceStable(l.Records, func(i, j int) bool {
-		if l.Records[i].Ts != l.Records[j].Ts {
-			return l.Records[i].Ts < l.Records[j].Ts
+	slices.SortStableFunc(l.Records, func(a, b Record) int {
+		if a.Ts != b.Ts {
+			if a.Ts < b.Ts {
+				return -1
+			}
+			return 1
 		}
-		return l.Records[i].ID < l.Records[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 }
 
